@@ -1,9 +1,11 @@
 """Broadcast algorithms: Decay, FASTBC, Robust FASTBC, and baselines.
 
-Single-message algorithms (Section 4.1) are implemented as per-node
-:class:`~repro.core.protocol.NodeProtocol` subclasses driven by the
-distributed simulator; multi-message algorithms (Section 4.2, Section 5)
-live in :mod:`repro.algorithms.multi`.
+Single-message algorithms (Section 4.1) run as one column population
+(:class:`~repro.algorithms.population.SingleMessagePopulation`) advanced
+by one call per round; their per-node
+:class:`~repro.core.protocol.NodeProtocol` subclasses stay as the
+reference it is checked against. Multi-message algorithms (Section 4.2,
+Section 5) live in :mod:`repro.algorithms.multi`.
 """
 
 from repro.algorithms.base import (

@@ -1,9 +1,12 @@
 """Shared scaffolding for single-message broadcast algorithms.
 
 Every single-message algorithm in this package is packaged the same way: a
-protocol class plus a ``<name>_broadcast`` convenience function that builds
-protocols for every node, runs the simulator until all nodes are informed
-(or the round budget runs out), and returns a :class:`BroadcastOutcome`.
+per-node protocol class (the reference), a ``<name>_population`` builder
+for the equivalent column population
+(:class:`~repro.algorithms.population.SingleMessagePopulation`), and a
+``<name>_broadcast`` convenience function that runs the population until
+all nodes are informed (or the round budget runs out) and returns a
+:class:`BroadcastOutcome`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.adversary.registry import as_adversary
 from repro.core.engine import Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
+from repro.core.population import Population
 from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
 from repro.util.rng import RandomSource, spawn_rng
@@ -71,14 +75,15 @@ def channel_slowdown(channel) -> float:
 
 def run_broadcast(
     network: RadioNetwork,
-    protocols: Sequence[NodeProtocol],
+    protocols: "Population | Sequence[NodeProtocol]",
     faults: FaultConfig,
     rng: "int | RandomSource | None",
     max_rounds: int,
     adversary: "Adversary | AdversaryConfig | None" = None,
     channel=None,
 ) -> BroadcastOutcome:
-    """Drive ``protocols`` until every node is done or the budget expires."""
+    """Drive ``protocols`` (a population, or one protocol per node) until
+    every node is done or the budget expires."""
     sim = Simulator(network, protocols, faults, rng, adversary=adversary, channel=channel)
     executed = sim.run(max_rounds)
     success = sim.all_done()

@@ -22,6 +22,7 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
+from repro.algorithms.population import SingleMessagePopulation
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.errors import ProtocolError
@@ -29,7 +30,7 @@ from repro.core.packets import MessagePacket, Packet
 from repro.core.protocol import NodeProtocol
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["DecayProtocol", "decay_broadcast"]
+__all__ = ["DecayProtocol", "decay_broadcast", "decay_population"]
 
 _MESSAGE = MessagePacket(0)
 
@@ -77,6 +78,21 @@ class DecayProtocol(NodeProtocol):
         return self.informed
 
 
+def decay_population(
+    network: RadioNetwork, rng: RandomSource
+) -> SingleMessagePopulation:
+    """Decay on every node as one column population.
+
+    Outcome-identical to one :class:`DecayProtocol` per node built from
+    the same ``rng`` (node ``v`` gets the ``v``-th spawned child).
+    """
+    return SingleMessagePopulation(
+        network.source,
+        [rng.spawn().raw_random for _ in network.nodes()],
+        ilog2(network.n) + 1,
+    )
+
+
 def decay_broadcast(
     network: RadioNetwork,
     faults: FaultConfig = FaultConfig.faultless(),
@@ -103,13 +119,9 @@ def decay_broadcast(
         slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
         slowdown *= channel_slowdown(channel)
         max_rounds = int(40 * slowdown * log_n * (depth + log_n)) + 100
-    protocols = [
-        DecayProtocol(n, source.spawn(), informed=(v == network.source))
-        for v in network.nodes()
-    ]
     return run_broadcast(
         network,
-        protocols,
+        decay_population(network, source),
         faults,
         source.spawn(),
         max_rounds,

@@ -25,6 +25,7 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
+from repro.algorithms.population import SingleMessagePopulation, Wave
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.errors import ProtocolError
@@ -34,9 +35,38 @@ from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["FastBCProtocol", "fastbc_broadcast", "make_fastbc_protocols"]
+__all__ = [
+    "FastBCProtocol",
+    "fastbc_broadcast",
+    "fastbc_fire_slot",
+    "fastbc_population",
+    "make_fastbc_protocols",
+    "wave_max_rank",
+]
 
 _MESSAGE = MessagePacket(0)
+
+
+def wave_max_rank(n: int) -> int:
+    """The rank bound r_max that sets the FASTBC-family wave period.
+
+    The period uses the Lemma 7 *bound* ceil(log2 n) rather than the
+    realized max rank: the paper's analysis (Lemmas 8 and 10) treats the
+    wave period as Theta(log n), and using the bound also spares nodes
+    from having to know the realized tree statistic.
+    """
+    return max(1, ilog2(n))
+
+
+def fastbc_fire_slot(level: int, rank: int, max_rank: int) -> int:
+    """The wave slot of a fast node at ``level`` with ``rank``.
+
+    The node broadcasts in even round ``2t`` iff ``t mod 6 r_max`` equals
+    this slot, i.e. ``t = l - 6r (mod 6 r_max)``; consecutive levels of a
+    stretch fire in consecutive even rounds, so the wave moves one hop
+    per even round.
+    """
+    return (level - 6 * rank) % (6 * max_rank)
 
 
 class FastBCProtocol(NodeProtocol):
@@ -71,11 +101,8 @@ class FastBCProtocol(NodeProtocol):
         self.rank = tree.rank[node]
         self.is_fast = tree.is_fast(node)
         self.phase_length = ilog2(tree.network.n) + 1
-        # Schedule period uses the Lemma 7 *bound* ceil(log2 n) rather than
-        # the realized max rank: the paper's analysis (Lemmas 8 and 10)
-        # treats the wave period as Theta(log n), and using the bound also
-        # spares nodes from having to know the realized tree statistic.
-        self.max_rank = max(1, ilog2(tree.network.n))
+        self.max_rank = wave_max_rank(tree.network.n)
+        self.fire_slot = fastbc_fire_slot(self.level, self.rank, self.max_rank)
         self.informed_round: Optional[int] = 0 if informed else None
 
     def act(self, round_index: int) -> Optional[Packet]:
@@ -91,15 +118,10 @@ class FastBCProtocol(NodeProtocol):
             if self.rng.bernoulli(2.0 ** (-i)):
                 return _MESSAGE
             return None
-        # fast transmission round 2t: wave schedule along fast stretches.
-        # Fast node at level l, rank r broadcasts iff t = l - 6r (mod
-        # 6 r_max); consecutive levels of a stretch fire in consecutive
-        # even rounds, so the wave moves one hop per even round.
+        # fast transmission round 2t: wave schedule along fast stretches
         if not self.is_fast:
             return None
-        t = round_index // 2
-        modulus = 6 * self.max_rank
-        if (t - (self.level - 6 * self.rank)) % modulus == 0:
+        if (round_index // 2) % (6 * self.max_rank) == self.fire_slot:
             return _MESSAGE
         return None
 
@@ -139,6 +161,43 @@ def make_fastbc_protocols(
     ]
 
 
+def _fastbc_wave(tree: RankedBFSTree) -> Wave:
+    """The FASTBC wave as a table: fast nodes keyed by fire slot."""
+    max_rank = wave_max_rank(tree.network.n)
+    period = 6 * max_rank
+    table: list[list[int]] = [[] for _ in range(period)]
+    for v in tree.network.nodes():
+        if tree.is_fast(v):
+            table[fastbc_fire_slot(tree.level[v], tree.rank[v], max_rank)].append(v)
+    return lambda t: table[t % period]
+
+
+def fastbc_population(
+    network: RadioNetwork,
+    rng: RandomSource,
+    tree: Optional[RankedBFSTree] = None,
+    decay_interleave: bool = True,
+    repeat: int = 1,
+) -> SingleMessagePopulation:
+    """FASTBC on every node as one column population.
+
+    Outcome-identical to :func:`make_fastbc_protocols` with the same
+    ``rng`` (and, for ``repeat > 1``, to one
+    :class:`~repro.algorithms.repetition.RepeatedFastBCProtocol` per
+    node).
+    """
+    if tree is None:
+        tree = build_gbst(network).tree
+    return SingleMessagePopulation(
+        network.source,
+        [rng.spawn().raw_random for _ in network.nodes()],
+        ilog2(network.n) + 1,
+        wave=_fastbc_wave(tree),
+        decay_interleave=decay_interleave,
+        repeat=repeat,
+    )
+
+
 def fastbc_broadcast(
     network: RadioNetwork,
     faults: FaultConfig = FaultConfig.faultless(),
@@ -168,12 +227,12 @@ def fastbc_broadcast(
             # pure-wave mode pays the full Theta(log n) wave period per
             # failure with no Decay assist
             max_rounds *= 4
-    protocols = make_fastbc_protocols(
+    population = fastbc_population(
         network, source, tree=tree, decay_interleave=decay_interleave
     )
     return run_broadcast(
         network,
-        protocols,
+        population,
         faults,
         source.spawn(),
         max_rounds,

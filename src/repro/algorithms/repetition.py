@@ -8,10 +8,12 @@ The paper discusses two straw-man fixes before introducing Robust FASTBC:
 * repeat every round ``Θ(log log n)`` times — the effective fault rate
   drops to ``1/polylog(n)``, giving ``O(D log log n + polylog n)``.
 
-These are the A2 ablation baselines. Repetition is implemented as a round
-retimer over :class:`~repro.algorithms.fastbc.FastBCProtocol`: real round
-``t`` executes virtual FASTBC round ``t // repeat`` (Decay coin flips are
-re-drawn per repetition, which only helps the baseline).
+These are the A2 ablation baselines. Repetition is a round retimer over
+FASTBC: real round ``t`` executes virtual FASTBC round ``t // repeat``
+(Decay coin flips are re-drawn per repetition, which only helps the
+baseline). :func:`repeated_fastbc_broadcast` runs the FASTBC column
+population with ``repeat`` set; :class:`RepeatedFastBCProtocol` is the
+per-node reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.fastbc import FastBCProtocol
+from repro.algorithms.fastbc import FastBCProtocol, fastbc_population
 from repro.algorithms.robust_fastbc import block_size
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
@@ -95,15 +97,9 @@ def repeated_fastbc_broadcast(
         slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
         slowdown *= channel_slowdown(channel)
         max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
-    protocols = [
-        RepeatedFastBCProtocol(
-            v, tree, source.spawn(), repeat, informed=(v == network.source)
-        )
-        for v in network.nodes()
-    ]
     return run_broadcast(
         network,
-        protocols,
+        fastbc_population(network, source, tree=tree, repeat=repeat),
         faults,
         source.spawn(),
         max_rounds,

@@ -35,6 +35,8 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
+from repro.algorithms.fastbc import wave_max_rank
+from repro.algorithms.population import SingleMessagePopulation, Wave
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.errors import ProtocolError
@@ -47,6 +49,8 @@ from repro.util.rng import RandomSource, spawn_rng
 __all__ = [
     "RobustFastBCProtocol",
     "robust_fastbc_broadcast",
+    "robust_fastbc_population",
+    "robust_wave_key",
     "block_size",
     "make_robust_fastbc_protocols",
 ]
@@ -62,6 +66,30 @@ def block_size(n: int) -> int:
     """The paper's S = Θ(log log n) block size (>= 1)."""
     log_n = max(2.0, math.log2(max(2, n)))
     return max(1, math.ceil(math.log2(log_n)))
+
+
+def _check_wave_params(n: int, block: Optional[int], round_multiplier: int) -> int:
+    """Validate the block-wave knobs; returns the block size S to use."""
+    if round_multiplier < 1:
+        raise ValueError(
+            f"round_multiplier must be >= 1, got {round_multiplier}"
+        )
+    block = block if block is not None else block_size(n)
+    if block < 1:
+        raise ValueError(f"block size must be >= 1, got {block}")
+    return block
+
+
+def robust_wave_key(
+    level: int, rank: int, block: int, max_rank: int
+) -> tuple[int, int]:
+    """The (target superround slot, ``level mod 3``) of a fast node.
+
+    The node broadcasts in even round ``2t`` iff
+    ``(t // (c·S)) mod 6 r_max`` equals the slot — its block's
+    superround — and ``t = level (mod 3)``.
+    """
+    return ((level // block - 6 * rank) % (6 * max_rank), level % 3)
 
 
 class RobustFastBCProtocol(NodeProtocol):
@@ -90,11 +118,9 @@ class RobustFastBCProtocol(NodeProtocol):
         decay_interleave: bool = True,
     ) -> None:
         self.decay_interleave = decay_interleave
-        if round_multiplier < 1:
-            raise ValueError(
-                f"round_multiplier must be >= 1, got {round_multiplier}"
-            )
         n = tree.network.n
+        self.block = _check_wave_params(n, block, round_multiplier)
+        self.round_multiplier = round_multiplier
         self.node = node
         self.rng = rng
         self.informed = informed
@@ -103,14 +129,10 @@ class RobustFastBCProtocol(NodeProtocol):
         self.rank = tree.rank[node]
         self.is_fast = tree.is_fast(node)
         self.phase_length = ilog2(n) + 1
-        # Same convention as FastBCProtocol: the schedule period uses the
-        # Lemma 7 bound ceil(log2 n), matching the paper's Theta(log n)
-        # treatment of the inter-wave wait.
-        self.max_rank = max(1, ilog2(n))
-        self.block = block if block is not None else block_size(n)
-        if self.block < 1:
-            raise ValueError(f"block size must be >= 1, got {self.block}")
-        self.round_multiplier = round_multiplier
+        self.max_rank = wave_max_rank(n)
+        self.wave_key = robust_wave_key(
+            self.level, self.rank, self.block, self.max_rank
+        )
         self.informed_round: Optional[int] = 0 if informed else None
 
     def act(self, round_index: int) -> Optional[Packet]:
@@ -132,14 +154,10 @@ class RobustFastBCProtocol(NodeProtocol):
         if not self.is_fast:
             return None
         t = round_index // 2
-        s = self.block
-        superround_length = self.round_multiplier * s
-        modulus = 6 * self.max_rank
-        target = (self.level // s - 6 * self.rank) % modulus
-        current = (t // superround_length) % modulus
-        if current != target:
-            return None
-        if self.level % 3 != t % 3:
+        superround = (t // (self.round_multiplier * self.block)) % (
+            6 * self.max_rank
+        )
+        if (superround, t % 3) != self.wave_key:
             return None
         return _MESSAGE
 
@@ -183,6 +201,47 @@ def make_robust_fastbc_protocols(
     ]
 
 
+def _robust_wave(tree: RankedBFSTree, block: int, round_multiplier: int) -> Wave:
+    """The block wave as a table: fast nodes keyed by wave key."""
+    max_rank = wave_max_rank(tree.network.n)
+    modulus = 6 * max_rank
+    superround_length = round_multiplier * block
+    table: dict[tuple[int, int], list[int]] = {}
+    for v in tree.network.nodes():
+        if tree.is_fast(v):
+            key = robust_wave_key(tree.level[v], tree.rank[v], block, max_rank)
+            table.setdefault(key, []).append(v)
+    empty: list[int] = []
+    return lambda t: table.get(
+        ((t // superround_length) % modulus, t % 3), empty
+    )
+
+
+def robust_fastbc_population(
+    network: RadioNetwork,
+    rng: RandomSource,
+    tree: Optional[RankedBFSTree] = None,
+    block: Optional[int] = None,
+    round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
+    decay_interleave: bool = True,
+) -> SingleMessagePopulation:
+    """Robust FASTBC on every node as one column population.
+
+    Outcome-identical to :func:`make_robust_fastbc_protocols` with the
+    same arguments.
+    """
+    block = _check_wave_params(network.n, block, round_multiplier)
+    if tree is None:
+        tree = build_gbst(network).tree
+    return SingleMessagePopulation(
+        network.source,
+        [rng.spawn().raw_random for _ in network.nodes()],
+        ilog2(network.n) + 1,
+        wave=_robust_wave(tree, block, round_multiplier),
+        decay_interleave=decay_interleave,
+    )
+
+
 def robust_fastbc_broadcast(
     network: RadioNetwork,
     faults: FaultConfig = FaultConfig.faultless(),
@@ -217,7 +276,7 @@ def robust_fastbc_broadcast(
         )
         if not decay_interleave:
             max_rounds *= 4
-    protocols = make_robust_fastbc_protocols(
+    population = robust_fastbc_population(
         network,
         source,
         tree=tree,
@@ -227,7 +286,7 @@ def robust_fastbc_broadcast(
     )
     return run_broadcast(
         network,
-        protocols,
+        population,
         faults,
         source.spawn(),
         max_rounds,

@@ -24,6 +24,7 @@ from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
 from repro.core.network import RadioNetwork
 from repro.core.packets import NOISE, MessagePacket, Packet, RSPacket
 from repro.core.protocol import NodeProtocol
+from repro.core.population import Population, ProtocolPopulation
 from repro.core.engine import Channel, Delivery, RoundResult, Simulator
 from repro.core.trace import ChannelCounters, TraceRecorder
 
@@ -39,7 +40,9 @@ __all__ = [
     "NodeProtocol",
     "NOISE",
     "Packet",
+    "Population",
     "ProtocolError",
+    "ProtocolPopulation",
     "RadioNetwork",
     "ReproError",
     "RoundResult",

@@ -7,9 +7,10 @@ Two layers:
   This is the single place where the model semantics of DESIGN.md §5 are
   implemented; both the distributed simulator and the centralized schedule
   executors (:mod:`repro.schedules`) are built on it.
-* :class:`Simulator` — drives per-node :class:`~repro.core.protocol.NodeProtocol`
-  instances against a channel until a stop predicate fires or a round budget
-  is exhausted.
+* :class:`Simulator` — drives a node
+  :class:`~repro.core.population.Population` against a channel, one
+  ``actions``/``deliver`` call per round, until a stop predicate fires or a
+  round budget is exhausted.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.errors import ProtocolError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
+from repro.core.population import Population, as_population
 from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters, TraceRecorder
 from repro.telemetry.metrics import METRICS as _METRICS
@@ -449,14 +451,17 @@ class Channel:
 
 
 class Simulator:
-    """Drives per-node protocols over a :class:`Channel`.
+    """Drives a node population over a :class:`Channel`.
 
     Parameters
     ----------
     network:
         Topology.
-    protocols:
-        One :class:`NodeProtocol` per node, in internal index order.
+    population:
+        A :class:`~repro.core.population.Population` (one call per round
+        advances every node), or one :class:`NodeProtocol` per node in
+        internal index order, which is wrapped in the per-node
+        :class:`~repro.core.population.ProtocolPopulation` adapter.
     faults:
         Fault configuration.
     rng:
@@ -478,7 +483,7 @@ class Simulator:
     def __init__(
         self,
         network: RadioNetwork,
-        protocols: Sequence[NodeProtocol],
+        population: "Population | Sequence[NodeProtocol]",
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
         trace: Optional[TraceRecorder] = None,
@@ -486,12 +491,13 @@ class Simulator:
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
     ) -> None:
-        if len(protocols) != network.n:
+        population = as_population(population)
+        if population.n != network.n:
             raise SimulationError(
-                f"got {len(protocols)} protocols for {network.n} nodes"
+                f"got {population.n} protocols for {network.n} nodes"
             )
         self.network = network
-        self.protocols = list(protocols)
+        self.population = population
         if channel is None:
             self.channel = Channel(
                 network, faults, rng, trace, kernel=kernel, adversary=adversary
@@ -523,19 +529,11 @@ class Simulator:
         return self.channel.round_index
 
     def step(self) -> RoundResult:
-        """Run one round: poll active protocols, transmit, deliver."""
-        actions: dict[int, Packet] = {}
-        for node, protocol in enumerate(self.protocols):
-            if not protocol.active:
-                continue
-            packet = protocol.act(self.channel.round_index)
-            if packet is not None:
-                actions[node] = packet
-        result = self.channel.transmit(actions)
-        for delivery in result.deliveries:
-            self.protocols[delivery.receiver].on_receive(
-                result.round_index, delivery.packet, delivery.sender
-            )
+        """Run one round: collect actions, transmit, deliver."""
+        population = self.population
+        result = self.channel.transmit(population.actions(self.channel.round_index))
+        if result.deliveries:
+            population.deliver(result.round_index, result.deliveries)
         return result
 
     def run(
@@ -546,12 +544,13 @@ class Simulator:
         """Run until ``stop(self)`` is True or ``max_rounds`` elapse.
 
         Returns the number of rounds executed in this call. The default
-        stop predicate is "every protocol reports is_done()".
+        stop predicate is "the population reports all_done()".
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
         if stop is None:
-            stop = lambda sim: all(p.is_done() for p in sim.protocols)
+            all_done = self.population.all_done
+            stop = lambda sim: all_done()
         executed = 0
         while executed < max_rounds:
             if stop(self):
@@ -561,9 +560,9 @@ class Simulator:
         return executed
 
     def all_done(self) -> bool:
-        """True iff every protocol reports completion."""
-        return all(p.is_done() for p in self.protocols)
+        """True iff every node reports completion."""
+        return self.population.all_done()
 
     def done_count(self) -> int:
-        """Number of protocols reporting completion."""
-        return sum(1 for p in self.protocols if p.is_done())
+        """Number of nodes reporting completion."""
+        return self.population.done_count()

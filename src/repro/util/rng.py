@@ -15,7 +15,7 @@ overhead. Bulk draws delegate to numpy when profitable.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,6 +74,16 @@ class RandomSource:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._rng.random()
+
+    @property
+    def raw_random(self) -> Callable[[], float]:
+        """The bound ``random.Random.random`` behind this source.
+
+        For callers that draw once per node per round and cannot afford a
+        method hop: ``raw_random() < p`` consumes the stream exactly as
+        :meth:`bernoulli` does for ``0 < p < 1``.
+        """
+        return self._rng.random
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""

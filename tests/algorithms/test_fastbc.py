@@ -11,6 +11,7 @@ from repro.algorithms.repetition import (
     repeat_factor_loglog,
     repeated_fastbc_broadcast,
 )
+from repro.core.engine import Simulator
 from repro.core.faults import FaultConfig
 from repro.gbst.gbst import build_gbst
 from repro.topologies.basic import caterpillar, grid, path, star
@@ -104,6 +105,17 @@ class TestRepetitionBaselines:
         tree = build_gbst(net).tree
         with pytest.raises(ValueError):
             RepeatedFastBCProtocol(0, tree, RandomSource(1), repeat=0)
+
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_broadcast_rejects_bad_repeat_before_any_round(
+        self, repeat, monkeypatch
+    ):
+        def no_rounds(sim):
+            raise AssertionError("a round ran before validation")
+
+        monkeypatch.setattr(Simulator, "step", no_rounds)
+        with pytest.raises(ValueError):
+            repeated_fastbc_broadcast(path(6), repeat=repeat, rng=1)
 
     def test_repeated_broadcast_completes_under_faults(self):
         outcome = repeated_fastbc_broadcast(

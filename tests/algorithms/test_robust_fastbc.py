@@ -9,6 +9,7 @@ from repro.algorithms.robust_fastbc import (
     make_robust_fastbc_protocols,
     robust_fastbc_broadcast,
 )
+from repro.core.engine import Simulator
 from repro.core.faults import FaultConfig
 from repro.gbst.gbst import build_gbst
 from repro.topologies.basic import caterpillar, grid, path, star
@@ -37,6 +38,19 @@ class TestProtocolMechanics:
         tree = build_gbst(net).tree
         with pytest.raises(ValueError):
             RobustFastBCProtocol(0, tree, RandomSource(1), block=0)
+
+    @pytest.mark.parametrize(
+        "knobs", [{"block": 0}, {"block": -2}, {"round_multiplier": 0}]
+    )
+    def test_broadcast_rejects_bad_knobs_before_any_round(
+        self, knobs, monkeypatch
+    ):
+        def no_rounds(sim):
+            raise AssertionError("a round ran before validation")
+
+        monkeypatch.setattr(Simulator, "step", no_rounds)
+        with pytest.raises(ValueError):
+            robust_fastbc_broadcast(path(6), rng=1, **knobs)
 
     def test_uninformed_is_silent(self):
         net = path(6)
