@@ -25,12 +25,11 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
+from repro.algorithms.decay import DecayProtocol
 from repro.algorithms.population import SingleMessagePopulation, Wave
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.errors import ProtocolError
 from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
@@ -69,8 +68,12 @@ def fastbc_fire_slot(level: int, rank: int, max_rank: int) -> int:
     return (level - 6 * rank) % (6 * max_rank)
 
 
-class FastBCProtocol(NodeProtocol):
+class FastBCProtocol(DecayProtocol):
     """Per-node FASTBC over a shared GBST (known-topology algorithm).
+
+    Odd round ``2t + 1`` is Decay step ``t`` of the inherited
+    :class:`~repro.algorithms.decay.DecayProtocol`; even round ``2t`` fires
+    a fast node iff :meth:`wave_slot` of ``t`` equals its ``wave_key``.
 
     Parameters
     ----------
@@ -92,18 +95,14 @@ class FastBCProtocol(NodeProtocol):
         informed: bool = False,
         decay_interleave: bool = True,
     ) -> None:
+        super().__init__(tree.network.n, rng, informed)
         self.node = node
         self.decay_interleave = decay_interleave
-        self.rng = rng
-        self.informed = informed
-        self.active = informed
         self.level = tree.level[node]
         self.rank = tree.rank[node]
         self.is_fast = tree.is_fast(node)
-        self.phase_length = ilog2(tree.network.n) + 1
         self.max_rank = wave_max_rank(tree.network.n)
-        self.fire_slot = fastbc_fire_slot(self.level, self.rank, self.max_rank)
-        self.informed_round: Optional[int] = 0 if informed else None
+        self.wave_key = fastbc_fire_slot(self.level, self.rank, self.max_rank)
 
     def act(self, round_index: int) -> Optional[Packet]:
         if not self.informed:
@@ -114,30 +113,15 @@ class FastBCProtocol(NodeProtocol):
             # (the object of Lemma 10's recurrence).
             if not self.decay_interleave:
                 return None
-            i = ((round_index - 1) // 2) % self.phase_length
-            if self.rng.bernoulli(2.0 ** (-i)):
-                return _MESSAGE
-            return None
+            return super().act((round_index - 1) // 2)
         # fast transmission round 2t: wave schedule along fast stretches
-        if not self.is_fast:
-            return None
-        if (round_index // 2) % (6 * self.max_rank) == self.fire_slot:
+        if self.is_fast and self.wave_slot(round_index // 2) == self.wave_key:
             return _MESSAGE
         return None
 
-    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
-        if not isinstance(packet, MessagePacket):
-            raise ProtocolError(
-                f"single-message protocol received {type(packet).__name__}; "
-                "the model's routing packets are MessagePacket"
-            )
-        if not self.informed:
-            self.informed = True
-            self.active = True
-            self.informed_round = round_index
-
-    def is_done(self) -> bool:
-        return self.informed
+    def wave_slot(self, t: int) -> int:
+        """The schedule slot of even round ``2t``."""
+        return t % (6 * self.max_rank)
 
 
 def make_fastbc_protocols(
@@ -166,9 +150,8 @@ def _fastbc_wave(tree: RankedBFSTree) -> Wave:
     max_rank = wave_max_rank(tree.network.n)
     period = 6 * max_rank
     table: list[list[int]] = [[] for _ in range(period)]
-    for v in tree.network.nodes():
-        if tree.is_fast(v):
-            table[fastbc_fire_slot(tree.level[v], tree.rank[v], max_rank)].append(v)
+    for v in tree.fast_nodes():
+        table[fastbc_fire_slot(tree.level[v], tree.rank[v], max_rank)].append(v)
     return lambda t: table[t % period]
 
 

@@ -35,13 +35,10 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.fastbc import wave_max_rank
+from repro.algorithms.fastbc import FastBCProtocol, wave_max_rank
 from repro.algorithms.population import SingleMessagePopulation, Wave
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.errors import ProtocolError
-from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
@@ -50,12 +47,11 @@ __all__ = [
     "RobustFastBCProtocol",
     "robust_fastbc_broadcast",
     "robust_fastbc_population",
+    "robust_round_key",
     "robust_wave_key",
     "block_size",
     "make_robust_fastbc_protocols",
 ]
-
-_MESSAGE = MessagePacket(0)
 
 #: default round multiplier c ("sufficiently large constant"); sized so a
 #: block crossing fails with probability well below 1/log^3 n at p <= 1/2
@@ -85,19 +81,33 @@ def robust_wave_key(
 ) -> tuple[int, int]:
     """The (target superround slot, ``level mod 3``) of a fast node.
 
-    The node broadcasts in even round ``2t`` iff
-    ``(t // (c·S)) mod 6 r_max`` equals the slot — its block's
-    superround — and ``t = level (mod 3)``.
+    The node broadcasts in even round ``2t`` iff this equals
+    :func:`robust_round_key` of ``t``: ``t`` falls in its block's
+    superround and ``t = level (mod 3)``.
     """
     return ((level // block - 6 * rank) % (6 * max_rank), level % 3)
 
 
-class RobustFastBCProtocol(NodeProtocol):
+def robust_round_key(
+    t: int, block: int, round_multiplier: int, max_rank: int
+) -> tuple[int, int]:
+    """The (superround slot, ``t mod 3``) of even round ``2t``."""
+    return ((t // (round_multiplier * block)) % (6 * max_rank), t % 3)
+
+
+class RobustFastBCProtocol(FastBCProtocol):
     """Per-node Robust FASTBC over a shared GBST.
+
+    FASTBC with the block wave: odd rounds are the inherited Decay steps,
+    even round ``2t`` fires a fast node iff :func:`robust_round_key` of
+    ``t`` equals its :func:`robust_wave_key`. Within its superround the
+    node at level l fires on every t = l (mod 3), so the wave crosses one
+    hop per even round when transmissions succeed and retries a hop every
+    3 even rounds after a fault.
 
     Parameters
     ----------
-    node, tree, rng, informed:
+    node, tree, rng, informed, decay_interleave:
         As in :class:`~repro.algorithms.fastbc.FastBCProtocol`.
     block:
         Block size S; defaults to :func:`block_size` of n. Exposed for the
@@ -117,63 +127,15 @@ class RobustFastBCProtocol(NodeProtocol):
         round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
         decay_interleave: bool = True,
     ) -> None:
-        self.decay_interleave = decay_interleave
-        n = tree.network.n
-        self.block = _check_wave_params(n, block, round_multiplier)
+        self.block = _check_wave_params(tree.network.n, block, round_multiplier)
         self.round_multiplier = round_multiplier
-        self.node = node
-        self.rng = rng
-        self.informed = informed
-        self.active = informed
-        self.level = tree.level[node]
-        self.rank = tree.rank[node]
-        self.is_fast = tree.is_fast(node)
-        self.phase_length = ilog2(n) + 1
-        self.max_rank = wave_max_rank(n)
+        super().__init__(node, tree, rng, informed, decay_interleave)
         self.wave_key = robust_wave_key(
             self.level, self.rank, self.block, self.max_rank
         )
-        self.informed_round: Optional[int] = 0 if informed else None
 
-    def act(self, round_index: int) -> Optional[Packet]:
-        if not self.informed:
-            return None
-        if round_index % 2 == 1:
-            # odd: standard Decay step on all informed nodes (optional for
-            # wave-isolation experiments, as in FastBCProtocol)
-            if not self.decay_interleave:
-                return None
-            i = ((round_index - 1) // 2) % self.phase_length
-            if self.rng.bernoulli(2.0 ** (-i)):
-                return _MESSAGE
-            return None
-        # even: block wave on the fast set. t indexes even rounds; within
-        # its superround, the node at level l fires on every t = l (mod 3),
-        # so the wave crosses one hop per even round when transmissions
-        # succeed and retries a hop every 3 even rounds after a fault.
-        if not self.is_fast:
-            return None
-        t = round_index // 2
-        superround = (t // (self.round_multiplier * self.block)) % (
-            6 * self.max_rank
-        )
-        if (superround, t % 3) != self.wave_key:
-            return None
-        return _MESSAGE
-
-    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
-        if not isinstance(packet, MessagePacket):
-            raise ProtocolError(
-                f"single-message protocol received {type(packet).__name__}; "
-                "the model's routing packets are MessagePacket"
-            )
-        if not self.informed:
-            self.informed = True
-            self.active = True
-            self.informed_round = round_index
-
-    def is_done(self) -> bool:
-        return self.informed
+    def wave_slot(self, t: int) -> tuple[int, int]:
+        return robust_round_key(t, self.block, self.round_multiplier, self.max_rank)
 
 
 def make_robust_fastbc_protocols(
@@ -204,16 +166,13 @@ def make_robust_fastbc_protocols(
 def _robust_wave(tree: RankedBFSTree, block: int, round_multiplier: int) -> Wave:
     """The block wave as a table: fast nodes keyed by wave key."""
     max_rank = wave_max_rank(tree.network.n)
-    modulus = 6 * max_rank
-    superround_length = round_multiplier * block
     table: dict[tuple[int, int], list[int]] = {}
-    for v in tree.network.nodes():
-        if tree.is_fast(v):
-            key = robust_wave_key(tree.level[v], tree.rank[v], block, max_rank)
-            table.setdefault(key, []).append(v)
+    for v in tree.fast_nodes():
+        key = robust_wave_key(tree.level[v], tree.rank[v], block, max_rank)
+        table.setdefault(key, []).append(v)
     empty: list[int] = []
     return lambda t: table.get(
-        ((t // superround_length) % modulus, t % 3), empty
+        robust_round_key(t, block, round_multiplier, max_rank), empty
     )
 
 

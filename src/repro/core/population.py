@@ -49,9 +49,10 @@ class Population(abc.ABC):
     def done_count(self) -> int:
         """Number of nodes that have completed their task."""
 
+    @abc.abstractmethod
     def all_done(self) -> bool:
-        """True iff every node has completed its task."""
-        return self.done_count() == self.n
+        """True iff every node has completed its task (the default stop
+        predicate, evaluated once per round)."""
 
     @abc.abstractmethod
     def active_nodes(self) -> list[int]:
