@@ -86,11 +86,7 @@ def decay_population(
     Outcome-identical to one :class:`DecayProtocol` per node built from
     the same ``rng`` (node ``v`` gets the ``v``-th spawned child).
     """
-    return SingleMessagePopulation(
-        network.source,
-        [rng.spawn().raw_random for _ in network.nodes()],
-        ilog2(network.n) + 1,
-    )
+    return SingleMessagePopulation(network, rng)
 
 
 def decay_broadcast(

@@ -172,9 +172,8 @@ def fastbc_population(
     if tree is None:
         tree = build_gbst(network).tree
     return SingleMessagePopulation(
-        network.source,
-        [rng.spawn().raw_random for _ in network.nodes()],
-        ilog2(network.n) + 1,
+        network,
+        rng,
         wave=_fastbc_wave(tree),
         decay_interleave=decay_interleave,
         repeat=repeat,

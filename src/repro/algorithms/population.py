@@ -15,8 +15,7 @@ protocol object per node, :class:`SingleMessagePopulation` keeps columns:
 
 One :meth:`~SingleMessagePopulation.actions` call computes a round's
 broadcasters; one :meth:`~SingleMessagePopulation.deliver` call updates
-the columns and an incremental informed count, which is the stop
-predicate.
+the columns. The informed list's length is the stop predicate.
 
 The population is outcome-identical to the per-node reference classes
 (:class:`~repro.algorithms.decay.DecayProtocol` and friends) run through
@@ -33,8 +32,11 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Optional, Sequence
 
+from repro.algorithms.base import ilog2
+from repro.core.network import RadioNetwork
 from repro.core.packets import MessagePacket, Packet
 from repro.core.population import Population
+from repro.util.rng import RandomSource
 
 __all__ = ["SingleMessagePopulation", "Wave"]
 
@@ -49,13 +51,12 @@ class SingleMessagePopulation(Population):
 
     Parameters
     ----------
-    source:
-        The initially informed node (informed in round 0).
-    coins:
-        One uniform ``[0, 1)`` callable per node, in node order.
-    phase_length:
-        Decay phase length ``ilog2(n) + 1``: Decay step ``i`` fires with
-        probability ``2^-i``.
+    network:
+        The network; its source is informed in round 0. Decay step ``i``
+        of a phase of ``ilog2(n) + 1`` steps fires with probability
+        ``2^-i``.
+    rng:
+        Node ``v``'s coin is the ``v``-th child spawned from it.
     wave:
         ``None`` for plain Decay (every round is a Decay step). Otherwise
         the FASTBC-family schedule: odd rounds are Decay steps, even round
@@ -68,24 +69,25 @@ class SingleMessagePopulation(Population):
 
     def __init__(
         self,
-        source: int,
-        coins: Sequence[Callable[[], float]],
-        phase_length: int,
+        network: RadioNetwork,
+        rng: RandomSource,
         wave: Optional[Wave] = None,
         decay_interleave: bool = True,
         repeat: int = 1,
     ) -> None:
         if repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {repeat}")
-        self.n = len(coins)
-        self.coins = list(coins)
-        self.phase_length = phase_length
+        n = network.n
+        self.n = n
+        self.coins = [rng.spawn().raw_random for _ in network.nodes()]
+        self.phase_length = ilog2(n) + 1
         self.wave = wave
         self.decay_interleave = decay_interleave
         self.repeat = repeat
-        self._decay_p = [2.0 ** (-i) for i in range(phase_length)]
-        self.informed = [False] * self.n
-        self.informed_round: list[Optional[int]] = [None] * self.n
+        self._decay_p = [2.0 ** (-i) for i in range(self.phase_length)]
+        source = network.source
+        self.informed = [False] * n
+        self.informed_round: list[Optional[int]] = [None] * n
         self.informed[source] = True
         self.informed_round[source] = 0
         self.informed_nodes = [source]

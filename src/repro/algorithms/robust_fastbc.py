@@ -193,9 +193,8 @@ def robust_fastbc_population(
     if tree is None:
         tree = build_gbst(network).tree
     return SingleMessagePopulation(
-        network.source,
-        [rng.spawn().raw_random for _ in network.nodes()],
-        ilog2(network.n) + 1,
+        network,
+        rng,
         wave=_robust_wave(tree, block, round_multiplier),
         decay_interleave=decay_interleave,
     )

@@ -24,7 +24,7 @@ from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
-from repro.core.population import Population, as_population
+from repro.core.population import Population, ProtocolPopulation
 from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters, TraceRecorder
 from repro.telemetry.metrics import METRICS as _METRICS
@@ -491,7 +491,8 @@ class Simulator:
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
     ) -> None:
-        population = as_population(population)
+        if not isinstance(population, Population):
+            population = ProtocolPopulation(population)
         if population.n != network.n:
             raise SimulationError(
                 f"got {population.n} protocols for {network.n} nodes"

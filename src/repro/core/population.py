@@ -28,7 +28,7 @@ from repro.core.protocol import NodeProtocol
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import Delivery
 
-__all__ = ["Population", "ProtocolPopulation", "as_population"]
+__all__ = ["Population", "ProtocolPopulation"]
 
 
 class Population(abc.ABC):
@@ -93,11 +93,3 @@ class ProtocolPopulation(Population):
     def active_nodes(self) -> list[int]:
         return [node for node, p in enumerate(self.protocols) if p.active]
 
-
-def as_population(
-    nodes: "Population | Sequence[NodeProtocol]",
-) -> Population:
-    """``nodes`` itself if it is a population, else its per-node adapter."""
-    if isinstance(nodes, Population):
-        return nodes
-    return ProtocolPopulation(nodes)
