@@ -40,8 +40,8 @@ compatibility entry points over the same implementations::
     outcome = decay_broadcast(path(64), faults=FaultConfig.receiver(0.3), rng=1)
     print(outcome.rounds, outcome.success)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-results; ``python -m repro list`` enumerates the experiments, algorithms,
+See README.md for the system tour and PAPER.md for the source paper;
+``python -m repro list`` enumerates the experiments, algorithms,
 and topology families, and ``python -m repro sweep`` runs scenario grids
 from the command line.
 """

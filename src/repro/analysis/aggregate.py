@@ -37,7 +37,6 @@ __all__ = [
     "DIMENSIONS",
     "METRICS",
     "rows_from_reports",
-    "metric_value",
 ]
 
 #: dimensions aggregate() can group on
@@ -83,11 +82,6 @@ def rows_from_reports(reports: Iterable[RunReport]) -> Iterator[dict[str, Any]]:
             "rounds_per_message": report.rounds / k,
             "informed_fraction": report.informed_fraction,
         }
-
-
-def metric_value(row: Row, metric: str) -> float:
-    """The metric of one row (works for StoreRow and mapping rows)."""
-    return float(_get(row, metric))
 
 
 def _get(row: Row, field: str) -> Any:

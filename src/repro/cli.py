@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description=(
             "Reproduction of 'Broadcasting in Noisy Radio Networks' "
-            "(PODC 2017): run any experiment from DESIGN.md section 4, "
+            "(PODC 2017): run any experiment ('repro list' shows them), "
             "or sweep declarative scenarios over any registered algorithm."
         ),
     )
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale",
         choices=("smoke", "full"),
         default="smoke",
-        help="sweep size: smoke (seconds) or full (the EXPERIMENTS.md scale)",
+        help="sweep size: smoke (seconds) or full (minutes)",
     )
     run.add_argument("--seed", type=int, default=0, help="top-level RNG seed")
     run.add_argument(

@@ -1,7 +1,7 @@
 """Core noisy radio network model: channel semantics, faults, simulation.
 
 This package is the normative implementation of the model in Section 3.1 of
-the paper (see DESIGN.md section 5 for the exact semantics):
+the paper (PAPER.md; the list below gives the exact semantics):
 
 * synchronized rounds; each node either broadcasts one packet or listens;
 * a listening node receives a packet iff **exactly one** neighbor broadcasts;
@@ -26,7 +26,7 @@ from repro.core.packets import NOISE, MessagePacket, Packet, RSPacket
 from repro.core.protocol import NodeProtocol
 from repro.core.population import Population, ProtocolPopulation
 from repro.core.engine import Channel, Delivery, RoundResult, Simulator
-from repro.core.trace import ChannelCounters, TraceRecorder
+from repro.core.trace import ChannelCounters
 
 __all__ = [
     "AdversaryConfig",
@@ -50,5 +50,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "TopologyError",
-    "TraceRecorder",
 ]

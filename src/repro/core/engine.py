@@ -4,9 +4,10 @@ Two layers:
 
 * :class:`Channel` — the physical layer. Given the set of broadcasts for one
   round it resolves collisions and faults and reports who received what.
-  This is the single place where the model semantics of DESIGN.md §5 are
-  implemented; both the distributed simulator and the centralized schedule
-  executors (:mod:`repro.schedules`) are built on it.
+  This is the single place where the model semantics of the paper's
+  Section 3.1 (see PAPER.md) are implemented; both the distributed
+  simulator and the centralized schedule executors
+  (:mod:`repro.schedules`) are built on it.
 * :class:`Simulator` — drives a node
   :class:`~repro.core.population.Population` against a channel, one
   ``actions``/``deliver`` call per round, until a stop predicate fires or a
@@ -26,7 +27,7 @@ from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
 from repro.core.population import Population, ProtocolPopulation
 from repro.core.protocol import NodeProtocol
-from repro.core.trace import ChannelCounters, TraceRecorder
+from repro.core.trace import ChannelCounters
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.timeline.capture import maybe_bind_simulator
 from repro.timeline.recorder import NULL_TIMELINE
@@ -102,9 +103,7 @@ class Channel:
     Because the kernels are outcome-identical, ``kernel="auto"`` (the
     default) picks per round by the total neighbor-gather work: tiny
     rounds on tiny graphs stay on the scalar loop (numpy call latency
-    would dominate), large rounds go vectorized. When tracing is enabled
-    :meth:`transmit` routes through the scalar kernel so per-event
-    records stay available; outcomes are unchanged either way.
+    would dominate), large rounds go vectorized.
 
     Parameters
     ----------
@@ -118,8 +117,6 @@ class Channel:
         existed — legacy runs are byte-identical.
     rng:
         Seed / source for fault/adversary sampling.
-    trace:
-        Optional event recorder.
     kernel:
         ``"auto"`` (default), ``"vectorized"``, or ``"scalar"`` — force a
         resolution kernel, mainly for benchmarks and cross-checks.
@@ -140,7 +137,6 @@ class Channel:
         network: RadioNetwork,
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
-        trace: Optional[TraceRecorder] = None,
         kernel: str = "auto",
         adversary: "Adversary | AdversaryConfig | None" = None,
     ) -> None:
@@ -151,7 +147,6 @@ class Channel:
         self.network = network
         self.faults = faults
         self.rng = spawn_rng(rng)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         # flight recorder (repro.timeline): the disabled default is a
         # module-level null object, so the round epilogue pays one
         # attribute read + branch when no timeline capture is armed
@@ -252,7 +247,7 @@ class Channel:
 
     def _resolve_auto(self, actions: dict[int, Packet], result: RoundResult) -> None:
         """Kernel dispatch: honor ``self.kernel``, else pick by gather work."""
-        if self.trace.enabled or self.kernel == "scalar":
+        if self.kernel == "scalar":
             resolver = self._resolve_scalar
         elif self.kernel == "vectorized":
             resolver = self._resolve_vectorized
@@ -349,7 +344,7 @@ class Channel:
     def _resolve_scalar(
         self, actions: dict[int, Packet], result: RoundResult
     ) -> None:
-        """Per-node reference kernel (also serves the tracing path).
+        """Per-node reference kernel.
 
         Calls the adversary hooks at the same points, in the same order,
         with the same ascending-id values as the vectorized kernel (see
@@ -357,14 +352,8 @@ class Channel:
         stream and agree delivery for delivery.
         """
         counters = self.counters
-        trace = self.trace
-        tracing = trace.enabled
         adversary = self.adversary
         broadcasters = sorted(actions)
-
-        if tracing:
-            for b in broadcasters:
-                trace.record(self.round_index, "broadcast", b)
 
         if adversary.needs_begin_round:
             adversary.begin_round(
@@ -377,9 +366,6 @@ class Channel:
             faulty = {b for b, hit in zip(broadcasters, smask) if hit}
             counters.sender_faults += len(faulty)
             result.faulty_senders.extend(sorted(faulty))
-            if tracing:
-                for b in sorted(faulty):
-                    trace.record(self.round_index, "sender_fault", b)
 
         hear_count = self._hear_count
         hear_from = self._hear_from
@@ -425,8 +411,6 @@ class Channel:
             if count >= 2:
                 counters.collisions += 1
                 result.collision_receivers.append(v)
-                if tracing:
-                    trace.record(self.round_index, "collision", v)
                 continue
             if hear_from[v] in faulty:
                 result.noise_receivers.append(v)
@@ -441,13 +425,9 @@ class Channel:
             if rmask is not None and rmask[i]:
                 counters.receiver_faults += 1
                 result.noise_receivers.append(v)
-                if tracing:
-                    trace.record(self.round_index, "receiver_fault", v, sender)
                 continue
             counters.deliveries += 1
             result.deliveries.append(Delivery(v, sender, actions[sender]))
-            if tracing:
-                trace.record(self.round_index, "deliver", v, sender)
 
 
 class Simulator:
@@ -468,8 +448,6 @@ class Simulator:
         Randomness for the channel (fault sampling). Protocols hold their
         own sources so that channel noise and algorithmic randomness are
         independent streams.
-    trace:
-        Optional event recorder.
     adversary:
         Optional channel corruption strategy (see :class:`Channel`);
         mutually exclusive with a non-faultless ``faults``.
@@ -486,7 +464,6 @@ class Simulator:
         population: "Population | Sequence[NodeProtocol]",
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
-        trace: Optional[TraceRecorder] = None,
         kernel: str = "auto",
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
@@ -501,7 +478,7 @@ class Simulator:
         self.population = population
         if channel is None:
             self.channel = Channel(
-                network, faults, rng, trace, kernel=kernel, adversary=adversary
+                network, faults, rng, kernel=kernel, adversary=adversary
             )
         else:
             # deferred import: repro.mac.channel subclasses Channel, so a
@@ -512,7 +489,6 @@ class Simulator:
                 network,
                 faults,
                 rng,
-                trace,
                 kernel=kernel,
                 adversary=adversary,
                 config=channel,

@@ -2,8 +2,8 @@
 
 Importing this package registers every driver; use
 :func:`repro.experiments.common.get_experiment` or the ``repro`` CLI to
-run them. See DESIGN.md section 4 for the experiment index and
-EXPERIMENTS.md for recorded results.
+run them. ``python -m repro list`` prints the experiment index; README.md
+describes the experiments and PAPER.md the statements they reproduce.
 """
 
 from repro.experiments import (  # noqa: F401  (import = registration)

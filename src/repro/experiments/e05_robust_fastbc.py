@@ -5,7 +5,7 @@ plain FASTBC's per-hop cost grows with log n (a dropped hop waits out a
 full wave period), while Robust FASTBC's blocks absorb drops with local
 retries and its per-hop cost is flat in n. The full-algorithm columns show
 the blended behaviour (the Decay half floors both at Θ(log n)/hop at these
-scales — see EXPERIMENTS.md for the constant-regime discussion).
+scales: a constant-regime effect, not a change in the asymptotics).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ slot:
    *defers*: it neither transmits nor counts down. Remaining contenders
    transmit iff their counter is zero, else decrement it.
 2. **Resolve.** Actual transmitters go through the ordinary collision
-   channel (same semantics, counters, adversary hooks, timeline and
-   tracing as the default channel) — exogenous adversaries compose *on
+   channel (same semantics, counters, adversary hooks and timeline as
+   the default channel) — exogenous adversaries compose *on
    top of* contention. With a capture threshold set, a receiver hearing
    several transmitters still captures the strongest one when its
    per-slot power exceeds ``capture`` times the runner-up's.
@@ -46,7 +46,7 @@ from repro.core.engine import Channel, Delivery, RoundResult
 from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.trace import ChannelCounters, TraceRecorder
+from repro.core.trace import ChannelCounters
 from repro.mac.config import MacConfig
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.util.rng import RandomSource
@@ -134,13 +134,12 @@ class ContentionChannel(Channel):
         network: RadioNetwork,
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
-        trace: Optional[TraceRecorder] = None,
         kernel: str = "auto",
         adversary: "AdversaryConfig | None" = None,
         config: Optional[MacConfig] = None,
     ) -> None:
         super().__init__(
-            network, faults, rng, trace, kernel=kernel, adversary=adversary
+            network, faults, rng, kernel=kernel, adversary=adversary
         )
         self.config = config if config is not None else MacConfig()
         self.counters = MacCounters()
@@ -426,14 +425,8 @@ class ContentionChannel(Channel):
             super()._resolve_scalar(actions, result)
             return
         counters = self.counters
-        trace = self.trace
-        tracing = trace.enabled
         adversary = self.adversary
         broadcasters = sorted(actions)
-
-        if tracing:
-            for b in broadcasters:
-                trace.record(self.round_index, "broadcast", b)
 
         if adversary.needs_begin_round:
             adversary.begin_round(
@@ -446,9 +439,6 @@ class ContentionChannel(Channel):
             faulty = {b for b, hit in zip(broadcasters, smask) if hit}
             counters.sender_faults += len(faulty)
             result.faulty_senders.extend(sorted(faulty))
-            if tracing:
-                for b in sorted(faulty):
-                    trace.record(self.round_index, "sender_fault", b)
 
         neighbors = self.network.neighbors
         alive = (
@@ -488,8 +478,6 @@ class ContentionChannel(Channel):
                 else:
                     counters.collisions += 1
                     result.collision_receivers.append(v)
-                    if tracing:
-                        trace.record(self.round_index, "collision", v)
                     continue
             if winner in faulty:
                 result.noise_receivers.append(v)
@@ -503,10 +491,6 @@ class ContentionChannel(Channel):
             if rmask is not None and rmask[i]:
                 counters.receiver_faults += 1
                 result.noise_receivers.append(v)
-                if tracing:
-                    trace.record(self.round_index, "receiver_fault", v, sender)
                 continue
             counters.deliveries += 1
             result.deliveries.append(Delivery(v, sender, actions[sender]))
-            if tracing:
-                trace.record(self.round_index, "deliver", v, sender)

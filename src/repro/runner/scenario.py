@@ -292,8 +292,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Inverse of :meth:`to_dict`."""
-        faults = FaultConfig.from_dict(data.get("faults", {}))
+        """Inverse of :meth:`to_dict`.
+
+        Raises ``TypeError`` naming the field when ``data`` or one of its
+        nested configs (``faults``, ``adversary``, ``timeline``) is not a
+        mapping.
+        """
+        if not isinstance(data, Mapping):
+            raise TypeError(
+                f"scenario must be a mapping, got {type(data).__name__}"
+            )
+        for name in ("faults", "adversary", "timeline"):
+            value = data.get(name)
+            if value is not None and not isinstance(value, Mapping):
+                raise TypeError(
+                    f"{name} must be a mapping, got {type(value).__name__}"
+                )
+        faults = FaultConfig.from_dict(data.get("faults") or {})
         adversary_data = data.get("adversary")
         adversary = (
             AdversaryConfig.from_dict(adversary_data)

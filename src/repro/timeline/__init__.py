@@ -22,11 +22,7 @@ stack at import time — the engine imports it.
 """
 
 from repro.timeline.artifact import TIMELINE_SCHEMA, Timeline
-from repro.timeline.capture import (
-    TimelineCapture,
-    active_capture,
-    capture_timeline,
-)
+from repro.timeline.capture import TimelineCapture, capture_timeline
 from repro.timeline.config import TimelineConfig
 from repro.timeline.diff import TimelineDiff, diff_timelines
 from repro.timeline.recorder import DATA_COLUMNS, NULL_TIMELINE, TimelineRecorder
@@ -40,7 +36,6 @@ __all__ = [
     "TimelineRecorder",
     "DATA_COLUMNS",
     "NULL_TIMELINE",
-    "active_capture",
     "capture_timeline",
     "diff_timelines",
 ]

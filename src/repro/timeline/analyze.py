@@ -4,11 +4,12 @@ The per-bucket columns answer the round-level questions a run report
 cannot: how fast the informed wavefront moved (:func:`progress_curve`,
 :func:`time_to_fraction`), and where listener-rounds were lost —
 collisions vs. sender faults vs. receiver faults
-(:func:`loss_attribution`). :func:`summarize` flattens one timeline to
-scalar metrics, and :func:`aggregate_timelines` feeds those metrics into
-an ``analysis.aggregate``-style group-by over every timeline a
-:class:`~repro.store.ResultStore` holds, returning a canonical
-:class:`~repro.analysis.report.AnalysisReport`.
+(:func:`loss_attribution`). The per-node first deliveries give the wait
+at each hop of a node order (:func:`hop_gaps`). :func:`summarize`
+flattens one timeline to scalar metrics, and :func:`aggregate_timelines`
+feeds those metrics into an ``analysis.aggregate``-style group-by over
+every timeline a :class:`~repro.store.ResultStore` holds, returning a
+canonical :class:`~repro.analysis.report.AnalysisReport`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "progress_curve",
     "time_to_fraction",
     "loss_attribution",
+    "hop_gaps",
     "summarize",
     "aggregate_timelines",
 ]
@@ -100,6 +102,35 @@ def loss_attribution(timeline: Timeline) -> dict[str, Any]:
         "lost": lost,
         "loss_fraction": lost / total if total else 0.0,
     }
+
+
+def hop_gaps(timeline: Timeline, order: Sequence[int]) -> list[int]:
+    """Rounds between consecutive first deliveries along ``order``.
+
+    Gap ``j`` is the wait between ``order[j]`` and ``order[j + 1]`` first
+    being delivered to; the walk stops at the first node never delivered
+    to (``-1``, which includes the source). Along a path this is the
+    per-hop speed of the wavefront, so Lemma 10's stall mechanism shows
+    up directly: a faulty hop waits out whole wave periods.
+
+    Raises ``ValueError`` on a reservoir-capped timeline (a
+    ``"nodes"`` key: not every node has detail) and when ``order`` shows
+    no progress (fewer than two delivered nodes before the first ``-1``).
+    """
+    if "nodes" in timeline.first_delivery:
+        raise ValueError(
+            "hop_gaps needs per-node detail for every node; this timeline "
+            "keeps a reservoir (raise TimelineConfig.node_detail)"
+        )
+    rounds = timeline.first_delivery["rounds"]
+    times = []
+    for v in order:
+        if rounds[v] < 0:
+            break
+        times.append(rounds[v])
+    if len(times) < 2:
+        raise ValueError("timeline has no progress along the given order")
+    return [b - a for a, b in zip(times, times[1:])]
 
 
 def summarize(timeline: Timeline) -> dict[str, Any]:

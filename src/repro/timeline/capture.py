@@ -32,7 +32,7 @@ from repro.timeline.recorder import TimelineRecorder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import Simulator
 
-__all__ = ["TimelineCapture", "capture_timeline", "active_capture"]
+__all__ = ["TimelineCapture", "capture_timeline"]
 
 
 class TimelineCapture:
@@ -61,11 +61,6 @@ def capture_timeline(config: TimelineConfig) -> Iterator[TimelineCapture]:
         yield slot
     finally:
         _CAPTURE.reset(token)
-
-
-def active_capture() -> Optional[TimelineCapture]:
-    """The armed capture slot, or None outside any capture context."""
-    return _CAPTURE.get()
 
 
 def maybe_bind_simulator(simulator: "Simulator") -> None:

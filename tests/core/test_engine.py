@@ -9,7 +9,6 @@ from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import MessagePacket
 from repro.core.protocol import NodeProtocol
-from repro.core.trace import TraceRecorder
 from repro.util.rng import RandomSource
 
 MSG = MessagePacket(0)
@@ -154,37 +153,6 @@ class TestCounters:
 
     def test_str(self):
         assert "rounds=0" in str(Channel(path(2)).counters)
-
-
-class TestTracing:
-    def test_trace_records_events(self):
-        trace = TraceRecorder(enabled=True)
-        channel = Channel(path(3), trace=trace)
-        channel.transmit({0: MSG})
-        kinds = {e.kind for e in trace.events}
-        assert kinds == {"broadcast", "deliver"}
-
-    def test_trace_disabled_records_nothing(self):
-        trace = TraceRecorder(enabled=False)
-        channel = Channel(path(3), trace=trace)
-        channel.transmit({0: MSG})
-        assert len(trace) == 0
-
-    def test_trace_max_events_cap(self):
-        trace = TraceRecorder(enabled=True, max_events=1)
-        channel = Channel(path(3), trace=trace)
-        channel.transmit({0: MSG})
-        assert len(trace) == 1
-
-    def test_event_filters(self):
-        trace = TraceRecorder(enabled=True)
-        channel = Channel(path(3), trace=trace)
-        channel.transmit({0: MSG})
-        channel.transmit({0: MSG, 2: MSG})
-        assert len(trace.events_in_round(0)) == 2
-        assert len(trace.events_of_kind("collision")) == 1
-        trace.clear()
-        assert len(trace) == 0
 
 
 class _Flooder(NodeProtocol):

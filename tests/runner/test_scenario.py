@@ -91,6 +91,14 @@ class TestSerialization:
         assert data["faults"] == {"model": "receiver", "p": 0.25}
         assert Scenario.from_dict(data).faults.model is FaultModel.RECEIVER
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("faults", "x"), ("adversary", ["iid"]), ("timeline", 3)],
+    )
+    def test_from_dict_names_a_non_mapping_field(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            Scenario.from_dict({"algorithm": "decay", field: value})
+
     def test_explicit_network_refuses_to_dict_but_describes(self):
         scenario = Scenario(algorithm="decay", topology=path(5))
         with pytest.raises(ValueError, match="serialized"):

@@ -101,9 +101,18 @@ class TestErrors:
         assert excinfo.value.status == 404
 
     def test_bad_submit_body_is_400(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client._json("/jobs", {"scenarios": []})
-        assert excinfo.value.status == 400
+        bodies = [
+            {"scenarios": []},
+            {"scenarios": [3]},
+            {"scenarios": [{"algorithm": "decay", "faults": "x"}]},
+            {"scenarios": [{"algorithm": "decay", "adversary": "x"}]},
+            {"scenarios": [{"algorithm": "decay", "timeline": 3}]},
+            {"base": {"algorithm": "decay", "timeline": [1]}},
+        ]
+        for body in bodies:
+            with pytest.raises(ServiceError) as excinfo:
+                client._json("/jobs", body)
+            assert excinfo.value.status == 400, body
 
     def test_unknown_algorithm_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
