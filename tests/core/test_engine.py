@@ -9,6 +9,7 @@ from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import MessagePacket
 from repro.core.protocol import NodeProtocol
+from repro.mac.channel import ContentionChannel
 from repro.util.rng import RandomSource
 
 MSG = MessagePacket(0)
@@ -244,3 +245,22 @@ class TestSimulator:
         sim = Simulator(path(2), [_Flooder(True), _Silent()])
         sim.step()
         assert sim.counters.deliveries == 1
+
+
+class TestOneRecorder:
+    """The timeline is the only per-round recorder: no constructor on the
+    round path takes a per-event ``trace`` knob any more."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: Channel(path(3), **kw),
+            lambda **kw: ContentionChannel(path(3), **kw),
+            lambda **kw: Simulator(path(2), [_Flooder(True), _Silent()], **kw),
+        ],
+        ids=["Channel", "ContentionChannel", "Simulator"],
+    )
+    def test_trace_is_not_a_parameter(self, build):
+        build()
+        with pytest.raises(TypeError, match="trace"):
+            build(trace=None)

@@ -99,6 +99,10 @@ class TestSerialization:
         with pytest.raises(TypeError, match=field):
             Scenario.from_dict({"algorithm": "decay", field: value})
 
+    def test_from_dict_refuses_a_non_mapping_scenario(self):
+        with pytest.raises(TypeError, match="scenario must be a mapping"):
+            Scenario.from_dict(["decay"])
+
     def test_explicit_network_refuses_to_dict_but_describes(self):
         scenario = Scenario(algorithm="decay", topology=path(5))
         with pytest.raises(ValueError, match="serialized"):

@@ -100,19 +100,29 @@ class TestErrors:
             client.report_bytes("0" * 64)
         assert excinfo.value.status == 404
 
-    def test_bad_submit_body_is_400(self, client):
-        bodies = [
+    @pytest.mark.parametrize(
+        "body",
+        [
             {"scenarios": []},
             {"scenarios": [3]},
             {"scenarios": [{"algorithm": "decay", "faults": "x"}]},
             {"scenarios": [{"algorithm": "decay", "adversary": "x"}]},
             {"scenarios": [{"algorithm": "decay", "timeline": 3}]},
             {"base": {"algorithm": "decay", "timeline": [1]}},
-        ]
-        for body in bodies:
-            with pytest.raises(ServiceError) as excinfo:
-                client._json("/jobs", body)
-            assert excinfo.value.status == 400, body
+        ],
+        ids=[
+            "no-scenarios",
+            "non-mapping-scenario",
+            "non-mapping-faults",
+            "non-mapping-adversary",
+            "non-mapping-timeline",
+            "non-mapping-base-timeline",
+        ],
+    )
+    def test_bad_submit_body_is_400(self, client, body):
+        with pytest.raises(ServiceError) as excinfo:
+            client._json("/jobs", body)
+        assert excinfo.value.status == 400
 
     def test_unknown_algorithm_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:

@@ -49,6 +49,14 @@ class TestHopGaps:
         timeline = _timeline({"rounds": (-1, 2, 10, 4)})
         assert hop_gaps(timeline, [1, 3, 2]) == [2, 6]
 
+    def test_gaps_are_differences_of_first_delivery_rounds(self):
+        timeline = _timeline({"rounds": (-1, 2, 10, 11)})
+        assert hop_gaps(timeline, [1, 2, 3]) == [8, 1]
+
+    def test_empty_order_has_no_progress(self):
+        with pytest.raises(ValueError, match="no progress"):
+            hop_gaps(_timeline({"rounds": (-1, 4, 6)}), [])
+
     def test_requires_progress(self):
         with pytest.raises(ValueError, match="no progress"):
             hop_gaps(_timeline({"rounds": (-1, 4)}), [0, 1])
@@ -57,6 +65,21 @@ class TestHopGaps:
         capped = _timeline({"nodes": (0, 2), "rounds": (-1, 4)})
         with pytest.raises(ValueError, match="reservoir"):
             hop_gaps(capped, [0, 1])
+
+    def test_refuses_a_capped_run(self):
+        report = run(
+            Scenario(
+                algorithm="decay",
+                topology="path",
+                topology_params={"n": 12},
+                seed=1,
+                timeline=TimelineConfig(node_detail=4),
+            )
+        )
+        timeline = Timeline.from_dict(report.timeline)
+        assert "nodes" in timeline.first_delivery
+        with pytest.raises(ValueError, match="reservoir"):
+            hop_gaps(timeline, range(1, 12))
 
 
 class TestLemma10StallDistribution:
@@ -79,8 +102,9 @@ class TestLemma10StallDistribution:
         for stall in stalls:
             assert (stall - 2) % period == 0, (stall, period)
 
-    def test_faultless_wave_has_no_stalls(self):
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_faultless_wave_has_no_stalls(self, seed):
         n = 96
-        gaps = _wave_gaps(n, FaultConfig.faultless(), seed=4)
+        gaps = _wave_gaps(n, FaultConfig.faultless(), seed)
         period = 2 * 6 * ilog2(n)
         assert [g for g in gaps if g > period // 2] == []
