@@ -14,7 +14,6 @@ from repro.coding.reed_solomon import ReedSolomonCode
 from repro.coding.rlnc import RLNCDecoder, RLNCEncoder
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
-from repro.core.packets import MessagePacket
 from repro.topologies.basic import star
 from repro.util.rng import RandomSource
 
@@ -75,10 +74,8 @@ def test_rlnc_decode_k32(benchmark):
 def test_channel_round_star_1024(benchmark):
     network = star(1024)
     channel = Channel(network, FaultConfig.receiver(0.3), rng=7)
-    packet = MessagePacket(0)
-
     def round_():
-        return channel.transmit({network.source: packet})
+        return channel.transmit([network.source])
 
     result = benchmark(round_)
     assert result.round_index >= 0

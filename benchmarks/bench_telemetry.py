@@ -4,9 +4,10 @@
 emits ``BENCH_telemetry.json`` with the channel-round workload from
 ``bench_hotpaths`` timed three ways:
 
-* ``bare``     — a ``Channel`` subclass whose round epilogue predates the
-  instrumentation (no ``METRICS.enabled`` read at all), the honest
-  uninstrumented baseline;
+* ``bare``     — ``channel_overhead.BareChannel``, the ``Channel``
+  subclass whose round epilogue carries no instrumentation at all (no
+  ``METRICS.enabled`` or ``timeline.enabled`` read), the honest
+  uninstrumented baseline ``bench_timeline`` shares;
 * ``disabled`` — the shipped ``Channel`` with the global registry off,
   i.e. what every user who never asks for telemetry pays;
 * ``enabled``  — the shipped ``Channel`` with the registry on, counters
@@ -39,15 +40,14 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.engine import Channel, RoundResult
-from repro.core.errors import SimulationError
+from channel_overhead import BareChannel, check_baseline, leg_summary, time_leg
+
+from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
-from repro.core.packets import MessagePacket
+from repro.perf.hotpaths import channel_workload
 from repro.runner import Scenario, expand_grid, run_batch
 from repro.telemetry.metrics import METRICS
 from repro.telemetry.tracing import TRACER, TraceSink
-from repro.topologies import random_graphs
-from repro.util.rng import RandomSource
 
 SCHEMA = "repro.bench_telemetry/1"
 
@@ -66,70 +66,10 @@ _SCALES = {
 _IDENTITY_SCENARIOS = 8
 
 
-class _BareChannel(Channel):
-    """``Channel`` with the pre-telemetry round epilogue.
-
-    ``_run_round`` below is the shipped body minus the ``if
-    _METRICS.enabled:`` block — the baseline the <=1% disabled bar is
-    measured against. If ``Channel._run_round`` changes shape, this
-    override must be updated to match (the consistency assertion in
-    :func:`bench_channel_overhead` catches behavioural drift).
-    """
-
-    def _run_round(self, actions, resolver):
-        n = self.network.n
-        for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
-                raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
-                )
-        result = RoundResult(round_index=self.round_index)
-        self.counters.rounds += 1
-        self.counters.broadcasts += len(actions)
-        if actions:
-            resolver(actions, result)
-        self.round_index += 1
-        return result
-
-
-def _workload(rounds, n, seed=7):
-    """The bench_hotpaths channel workload: sparse G(n, p), n/8 senders."""
-    network = random_graphs.gnp(n, 16.0 / n, rng=seed)
-    pick = RandomSource(seed)
-    packet = MessagePacket(0)
-    action_sets = [
-        {v: packet for v in pick.sample(range(network.n), network.n // 8)}
-        for _ in range(rounds)
-    ]
-    return network, action_sets
-
-
-def _leg_run(channel_cls, network, action_sets, seed=7):
-    """One timed pass: fresh channel, every round transmitted."""
-    channel = channel_cls(network, FaultConfig.receiver(0.1), rng=seed)
-    for actions in action_sets:
-        channel.transmit(actions)
-    return channel
-
-
-def _time_leg(channel_cls, network, action_sets):
-    start = time.perf_counter()
-    _leg_run(channel_cls, network, action_sets)
-    return time.perf_counter() - start
-
-
 def bench_channel_overhead(rounds, repeats, n, seed=7):
     """Best-of-``repeats`` seconds for bare / disabled / enabled legs."""
-    network, action_sets = _workload(rounds, n, seed=seed)
-
-    # behavioural sanity first: the bare override must produce the exact
-    # same deliveries and counters as the shipped channel, or the
-    # baseline is measuring a different simulation
-    bare = _leg_run(_BareChannel, network, action_sets[:16], seed=seed)
-    shipped = _leg_run(Channel, network, action_sets[:16], seed=seed)
-    assert bare.counters.as_dict() == shipped.counters.as_dict(), (
-        "_BareChannel diverged from Channel; update its _run_round copy"
-    )
+    network, broadcast_sets = channel_workload(rounds, n, seed=seed)
+    check_baseline(network, broadcast_sets[:16], seed=seed)
 
     was_enabled = METRICS.enabled
     best = {"bare": float("inf"), "disabled": float("inf"),
@@ -138,26 +78,17 @@ def bench_channel_overhead(rounds, repeats, n, seed=7):
         for _ in range(repeats):
             METRICS.enabled = False
             best["bare"] = min(
-                best["bare"], _time_leg(_BareChannel, network, action_sets)
+                best["bare"], time_leg(BareChannel, network, broadcast_sets)
             )
             best["disabled"] = min(
-                best["disabled"], _time_leg(Channel, network, action_sets)
+                best["disabled"], time_leg(Channel, network, broadcast_sets)
             )
             METRICS.enabled = True
             best["enabled"] = min(
-                best["enabled"], _time_leg(Channel, network, action_sets)
+                best["enabled"], time_leg(Channel, network, broadcast_sets)
             )
     finally:
         METRICS.enabled = was_enabled
-
-    def leg(name):
-        seconds = best[name]
-        overhead = (seconds - best["bare"]) / best["bare"]
-        return {
-            "seconds": round(seconds, 6),
-            "rounds_per_sec": round(rounds / seconds, 2),
-            "overhead_fraction": round(max(0.0, overhead), 4),
-        }
 
     return {
         "name": "channel_round_overhead",
@@ -166,7 +97,7 @@ def bench_channel_overhead(rounds, repeats, n, seed=7):
         "n": network.n,
         "m": network.edge_count,
         "broadcasters": network.n // 8,
-        "legs": {name: leg(name) for name in ("bare", "disabled", "enabled")},
+        "legs": leg_summary(best, rounds),
         "bars": {
             "disabled": DISABLED_OVERHEAD_BAR,
             "enabled": ENABLED_OVERHEAD_BAR,

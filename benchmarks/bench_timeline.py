@@ -4,8 +4,10 @@
 emits ``BENCH_timeline.json`` with the channel-round workload from
 ``bench_hotpaths`` timed three ways:
 
-* ``bare``     — a ``Channel`` subclass whose round epilogue predates the
-  flight recorder (no ``timeline.enabled`` read at all);
+* ``bare``     — ``channel_overhead.BareChannel``, the ``Channel``
+  subclass whose round epilogue carries no instrumentation at all (no
+  ``timeline.enabled`` or ``METRICS.enabled`` read), the baseline
+  ``bench_telemetry`` shares;
 * ``disabled`` — the shipped ``Channel`` carrying ``NULL_TIMELINE``,
   i.e. what every run that never opts in pays: one attribute read and
   one branch per round;
@@ -40,16 +42,20 @@ import platform
 import sys
 import time
 
-from repro.core import engine as _engine
-from repro.core.engine import Channel, RoundResult
-from repro.core.errors import SimulationError
+from channel_overhead import (
+    BareChannel,
+    check_baseline,
+    leg_run,
+    leg_summary,
+    time_leg,
+)
+
+from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
-from repro.core.packets import MessagePacket
+from repro.perf.hotpaths import channel_workload
 from repro.runner import Scenario, expand_grid, run_batch
 from repro.telemetry.metrics import METRICS
 from repro.timeline import TimelineConfig, TimelineRecorder
-from repro.topologies import random_graphs
-from repro.util.rng import RandomSource
 
 SCHEMA = "repro.bench_timeline/1"
 
@@ -71,95 +77,19 @@ _IDENTITY_SCENARIOS = 8
 _MEMORY_MODEL_N = 100_000
 
 
-class _BareChannel(Channel):
-    """``Channel`` with the pre-flight-recorder round epilogue.
-
-    ``_run_round`` below is the shipped body minus the ``if
-    timeline.enabled:`` lines — the baseline the <=1% disabled bar is
-    measured against. If ``Channel._run_round`` changes shape, this
-    override must be updated to match (the consistency assertion in
-    :func:`bench_channel_overhead` catches behavioural drift).
-    """
-
-    def _run_round(self, actions, resolver):
-        n = self.network.n
-        for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
-                raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
-                )
-        result = RoundResult(round_index=self.round_index)
-        counters = self.counters
-        metrics_on = _engine._METRICS.enabled
-        faults_before = counters.receiver_faults if metrics_on else 0
-        counters.rounds += 1
-        counters.broadcasts += len(actions)
-        if actions:
-            resolver(actions, result)
-        self.round_index += 1
-        if metrics_on:
-            _engine._M_ROUNDS.inc()
-            if actions:
-                _engine._M_BROADCASTS.inc(len(actions))
-                if result.deliveries:
-                    _engine._M_DELIVERIES.inc(len(result.deliveries))
-                if result.collision_receivers:
-                    _engine._M_COLLISIONS.inc(len(result.collision_receivers))
-                if result.faulty_senders:
-                    _engine._M_SENDER_FAULTS.inc(len(result.faulty_senders))
-                receiver_faults = counters.receiver_faults - faults_before
-                if receiver_faults:
-                    _engine._M_RECEIVER_FAULTS.inc(receiver_faults)
-        return result
-
-
-def _workload(rounds, n, seed=7):
-    """The bench_hotpaths channel workload: sparse G(n, p), n/8 senders."""
-    network = random_graphs.gnp(n, 16.0 / n, rng=seed)
-    pick = RandomSource(seed)
-    packet = MessagePacket(0)
-    action_sets = [
-        {v: packet for v in pick.sample(range(network.n), network.n // 8)}
-        for _ in range(rounds)
-    ]
-    return network, action_sets
-
-
-def _leg_run(channel_cls, network, action_sets, seed=7, record=False):
-    """One timed pass: fresh channel (and recorder), every round sent."""
-    channel = channel_cls(network, FaultConfig.receiver(0.1), rng=seed)
-    if record:
-        channel.timeline = TimelineRecorder(network.n, TimelineConfig(every=1))
-    for actions in action_sets:
-        channel.transmit(actions)
-    if record:
-        channel.timeline.finish()
-    return channel
-
-
-def _time_leg(channel_cls, network, action_sets, record=False):
-    start = time.perf_counter()
-    _leg_run(channel_cls, network, action_sets, record=record)
-    return time.perf_counter() - start
-
-
 def bench_channel_overhead(rounds, repeats, n, seed=7):
     """Best-of-``repeats`` seconds for bare / disabled / enabled legs."""
-    network, action_sets = _workload(rounds, n, seed=seed)
+    network, broadcast_sets = channel_workload(rounds, n, seed=seed)
 
     was_enabled = METRICS.enabled
     METRICS.enabled = False
     try:
-        # behavioural sanity first: the bare override must produce the
-        # exact same counters as the shipped channel — recording or not —
-        # or the baseline is measuring a different simulation
-        bare = _leg_run(_BareChannel, network, action_sets[:16], seed=seed)
-        shipped = _leg_run(Channel, network, action_sets[:16], seed=seed)
-        recording = _leg_run(
-            Channel, network, action_sets[:16], seed=seed, record=True
-        )
-        assert bare.counters.as_dict() == shipped.counters.as_dict(), (
-            "_BareChannel diverged from Channel; update its _run_round copy"
+        # behavioural sanity first: neither the bare baseline nor a bound
+        # recorder may change the simulation
+        check_baseline(network, broadcast_sets[:16], seed=seed)
+        shipped = leg_run(Channel, network, broadcast_sets[:16], seed=seed)
+        recording = leg_run(
+            Channel, network, broadcast_sets[:16], seed=seed, record=True
         )
         assert shipped.counters.as_dict() == recording.counters.as_dict(), (
             "a bound TimelineRecorder changed the simulation"
@@ -170,26 +100,17 @@ def bench_channel_overhead(rounds, repeats, n, seed=7):
                 "enabled": float("inf")}
         for _ in range(repeats):
             best["bare"] = min(
-                best["bare"], _time_leg(_BareChannel, network, action_sets)
+                best["bare"], time_leg(BareChannel, network, broadcast_sets)
             )
             best["disabled"] = min(
-                best["disabled"], _time_leg(Channel, network, action_sets)
+                best["disabled"], time_leg(Channel, network, broadcast_sets)
             )
             best["enabled"] = min(
                 best["enabled"],
-                _time_leg(Channel, network, action_sets, record=True),
+                time_leg(Channel, network, broadcast_sets, record=True),
             )
     finally:
         METRICS.enabled = was_enabled
-
-    def leg(name):
-        seconds = best[name]
-        overhead = (seconds - best["bare"]) / best["bare"]
-        return {
-            "seconds": round(seconds, 6),
-            "rounds_per_sec": round(rounds / seconds, 2),
-            "overhead_fraction": round(max(0.0, overhead), 4),
-        }
 
     return {
         "name": "channel_round_overhead",
@@ -198,7 +119,7 @@ def bench_channel_overhead(rounds, repeats, n, seed=7):
         "n": network.n,
         "m": network.edge_count,
         "broadcasters": network.n // 8,
-        "legs": {name: leg(name) for name in ("bare", "disabled", "enabled")},
+        "legs": leg_summary(best, rounds),
         "bars": {
             "disabled": DISABLED_OVERHEAD_BAR,
             "enabled": ENABLED_OVERHEAD_BAR,

@@ -23,7 +23,6 @@ from repro.algorithms.base import ilog2
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
 
@@ -83,24 +82,19 @@ def bipartite_routing_broadcast(
     holders = list(left)
     completed: dict[int, set[int]] = {v: set() for v in right}
     for message_index in range(k):
-        packet = MessagePacket(message_index)
         missing = set(right)
         step = 0
         while missing and rounds < max_rounds:
             i = step % phase_length
             probability = 2.0 ** (-i)
-            actions = {
-                u: packet
-                for u in holders
-                if source.bernoulli(probability)
-            }
-            result = channel.transmit(actions)
+            broadcasters = [u for u in holders if source.bernoulli(probability)]
+            result = channel.transmit(sorted(broadcasters))
             rounds += 1
             step += 1
-            for delivery in result.deliveries:
-                if delivery.receiver in missing:
-                    completed[delivery.receiver].add(message_index)
-                    missing.discard(delivery.receiver)
+            for receiver in result.receivers:
+                if receiver in missing:
+                    completed[receiver].add(message_index)
+                    missing.discard(receiver)
         if missing:
             break
 
@@ -171,7 +165,7 @@ def pipelined_routing_broadcast(
         # messages sequentially with Decay sub-schedules
         progress: dict[int, int] = {l: 0 for l, _ in active}  # msg ptr
         for step in range(meta_round_length):
-            actions = {}
+            messages: dict[int, int] = {}
             i = step % phase_length
             probability = 2.0 ** (-i)
             for l, batch in active:
@@ -183,18 +177,17 @@ def pipelined_routing_broadcast(
                 if all(message in knowledge[v] for v in receivers):
                     progress[l] = ptr + 1
                     continue
-                packet = MessagePacket(message)
                 for u in layers[l]:
                     if message in knowledge[u] and source.bernoulli(probability):
-                        actions[u] = packet
+                        messages[u] = message
             if all(
                 progress[l] >= len(batch) for l, batch in active
             ):
                 break
-            result = channel.transmit(actions)
+            result = channel.transmit(sorted(messages))
             rounds += 1
-            for delivery in result.deliveries:
-                knowledge[delivery.receiver].add(delivery.packet.index)
+            for receiver, sender in zip(result.receivers, result.senders):
+                knowledge[receiver].add(messages[sender])
 
     done = sum(1 for v in range(n) if len(knowledge[v]) == k)
     return PipelinedOutcome(

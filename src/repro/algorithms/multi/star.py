@@ -24,7 +24,6 @@ from repro.algorithms.base import ilog2
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig, FaultModel
-from repro.core.packets import MessagePacket, RSPacket
 from repro.topologies.basic import star
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive, check_probability
@@ -76,13 +75,12 @@ def star_adaptive_routing(
     rounds = 0
     for message_index in range(k):
         missing = set(leaves)
-        packet = MessagePacket(message_index)
         while missing and rounds < max_rounds:
-            result = channel.transmit({hub: packet})
+            result = channel.transmit([hub])
             rounds += 1
-            for delivery in result.deliveries:
-                receptions[delivery.receiver] += 1
-                missing.discard(delivery.receiver)
+            for receiver in result.receivers:
+                receptions[receiver] += 1
+                missing.discard(receiver)
         if missing:
             return StarOutcome(
                 success=False,
@@ -152,15 +150,14 @@ def star_rs_coding(
     receptions = {v: 0 for v in leaves}
     rounds = 0
     while min(receptions.values()) < k and rounds < max_rounds:
-        payload = coded_payloads[rounds] if validate_decode else b""
-        packet = RSPacket(coded_index=rounds, payload=payload)
-        result = channel.transmit({hub: packet})
+        coded_index = rounds
+        result = channel.transmit([hub])
         rounds += 1
-        for delivery in result.deliveries:
-            receptions[delivery.receiver] += 1
+        for receiver in result.receivers:
+            receptions[receiver] += 1
             if validate_decode:
-                received_packets[delivery.receiver].append(
-                    (packet.coded_index, packet.payload)
+                received_packets[receiver].append(
+                    (coded_index, coded_payloads[coded_index])
                 )
 
     success = min(receptions.values()) >= k

@@ -13,8 +13,8 @@ protocol object per node, :class:`SingleMessagePopulation` keeps columns:
 * for the FASTBC family, a wave table: the fast nodes that fire in each
   even-round slot of the schedule.
 
-One :meth:`~SingleMessagePopulation.actions` call computes a round's
-broadcasters; one :meth:`~SingleMessagePopulation.deliver` call updates
+One :meth:`~SingleMessagePopulation.broadcasters` call computes a
+round's broadcasters; one :meth:`~SingleMessagePopulation.deliver` call updates
 the columns. The informed list's length is the stop predicate.
 
 The population is outcome-identical to the per-node reference classes
@@ -34,13 +34,10 @@ from typing import Callable, Optional, Sequence
 
 from repro.algorithms.base import ilog2
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket, Packet
 from repro.core.population import Population
 from repro.util.rng import RandomSource
 
 __all__ = ["SingleMessagePopulation", "Wave"]
-
-_MESSAGE = MessagePacket(0)
 
 #: ``wave(t)``: the fast nodes (ascending) scheduled in even round ``2t``
 Wave = Callable[[int], Sequence[int]]
@@ -92,30 +89,30 @@ class SingleMessagePopulation(Population):
         self.informed_round[source] = 0
         self.informed_nodes = [source]
 
-    def actions(self, round_index: int) -> dict[int, Packet]:
+    def broadcasters(self, round_index: int) -> list[int]:
+        """The round's broadcasters. A phase's ``i = 0`` Decay round
+        returns the informed list itself (see
+        :meth:`~repro.core.population.Population.broadcasters`)."""
         r = round_index // self.repeat
         wave = self.wave
         if wave is None:
             i = r % self.phase_length
         elif r % 2 == 0:
             informed = self.informed
-            return dict.fromkeys([v for v in wave(r // 2) if informed[v]], _MESSAGE)
+            return [v for v in wave(r // 2) if informed[v]]
         elif self.decay_interleave:
             i = ((r - 1) // 2) % self.phase_length
         else:
-            return {}
+            return []
         if i == 0:
-            return dict.fromkeys(self.informed_nodes, _MESSAGE)
+            return self.informed_nodes
         p = self._decay_p[i]
         coins = self.coins
-        return dict.fromkeys(
-            [v for v in self.informed_nodes if coins[v]() < p], _MESSAGE
-        )
+        return [v for v in self.informed_nodes if coins[v]() < p]
 
-    def deliver(self, round_index: int, deliveries) -> None:
+    def deliver(self, round_index: int, receivers, senders) -> None:
         informed = self.informed
-        for delivery in deliveries:
-            v = delivery.receiver
+        for v in receivers:
             if not informed[v]:
                 informed[v] = True
                 self.informed_round[v] = round_index

@@ -25,7 +25,7 @@ from repro.core.network import RadioNetwork
 from repro.core.packets import NOISE, MessagePacket, Packet, RSPacket
 from repro.core.protocol import NodeProtocol
 from repro.core.population import Population, ProtocolPopulation
-from repro.core.engine import Channel, Delivery, RoundResult, Simulator
+from repro.core.engine import Channel, RoundResult, Simulator
 from repro.core.trace import ChannelCounters
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "BroadcastTimeout",
     "Channel",
     "ChannelCounters",
-    "Delivery",
     "FaultConfig",
     "FaultModel",
     "MessagePacket",

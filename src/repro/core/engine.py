@@ -2,29 +2,29 @@
 
 Two layers:
 
-* :class:`Channel` — the physical layer. Given the set of broadcasts for one
-  round it resolves collisions and faults and reports who received what.
+* :class:`Channel` — the physical layer. Given the ascending ids of one
+  round's broadcasters it resolves collisions and faults and reports who
+  received from whom.
   This is the single place where the model semantics of the paper's
   Section 3.1 (see PAPER.md) are implemented; both the distributed
   simulator and the centralized schedule executors
   (:mod:`repro.schedules`) are built on it.
 * :class:`Simulator` — drives a node
   :class:`~repro.core.population.Population` against a channel, one
-  ``actions``/``deliver`` call per round, until a stop predicate fires or a
+  ``broadcasters``/``deliver`` call per round, until a stop predicate fires or a
   round budget is exhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
 from repro.core.population import Population, ProtocolPopulation
 from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
@@ -33,7 +33,10 @@ from repro.timeline.capture import maybe_bind_simulator
 from repro.timeline.recorder import NULL_TIMELINE
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["Channel", "Delivery", "RoundResult", "Simulator"]
+__all__ = ["Channel", "RoundResult", "Simulator"]
+
+#: the validated form of an empty round
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 # channel hot-seam metrics: registered once at import, bulk-incremented
 # per round behind the single _METRICS.enabled attribute read
@@ -58,25 +61,19 @@ _M_RECEIVER_FAULTS = _METRICS.counter(
 )
 
 
-class Delivery(NamedTuple):
-    """A successful reception: ``receiver`` got ``packet`` from ``sender``.
-
-    A NamedTuple rather than a frozen dataclass: one is constructed per
-    reception, and tuple construction is several times cheaper than
-    ``object.__setattr__``-based frozen-dataclass init.
-    """
-
-    receiver: int
-    sender: int
-    packet: Packet
-
-
 @dataclass
 class RoundResult:
-    """Everything that happened on the channel in one round."""
+    """Everything that happened on the channel in one round.
+
+    ``receivers`` and ``senders`` are aligned columns: listener
+    ``receivers[i]`` (ascending) received the packet of broadcaster
+    ``senders[i]``. The channel never sees packets; the caller that
+    chose the broadcasters knows what each one sent.
+    """
 
     round_index: int
-    deliveries: list[Delivery] = field(default_factory=list)
+    receivers: list[int] = field(default_factory=list)
+    senders: list[int] = field(default_factory=list)
     #: listeners whose unique reception was replaced by noise (either fault)
     noise_receivers: list[int] = field(default_factory=list)
     #: listeners that heard >= 2 broadcasters
@@ -88,22 +85,25 @@ class RoundResult:
 class Channel:
     """The noisy radio channel over a fixed network.
 
-    Round resolution has two interchangeable kernels:
+    A round's input is the ascending list of broadcaster ids; whether a
+    listener receives depends only on how many of its neighbors
+    broadcast, never on what they send. Round resolution has two
+    interchangeable kernels:
 
     * a **vectorized** numpy kernel (the default) that gathers every
-      broadcaster's CSR neighbor slice, computes hear-counts with
-      ``np.bincount``, and draws all fault coins in bulk;
+      broadcaster's neighbors in one indexing call, computes hear-counts
+      with ``np.bincount``, and draws all fault coins in bulk;
     * a **scalar reference** (:meth:`transmit_reference`) — the original
       per-node loop, kept as the executable specification. Both kernels
       consume the channel RNG identically (one bulk Bernoulli draw per
       fault stage, in ascending node order — bulk-stream v2, see
-      PERFORMANCE.md), so for the same seed they agree delivery for
-      delivery; the test suite cross-checks this property.
+      PERFORMANCE.md), so for the same seed they agree reception for
+      reception; the test suite cross-checks this property.
 
     Because the kernels are outcome-identical, ``kernel="auto"`` (the
-    default) picks per round by the total neighbor-gather work: tiny
-    rounds on tiny graphs stay on the scalar loop (numpy call latency
-    would dominate), large rounds go vectorized.
+    default) picks per round by a bound on the neighbor-gather work:
+    rounds with a few low-degree broadcasters stay on the scalar loop
+    (numpy call latency would dominate), larger rounds go vectorized.
 
     Parameters
     ----------
@@ -128,9 +128,10 @@ class Channel:
         registry. Mutually exclusive with a non-faultless ``faults``.
     """
 
-    #: auto-dispatch threshold: vectorize once a round gathers this many
-    #: (broadcaster, neighbor) pairs — below it numpy latency dominates
-    VECTORIZE_MIN_WORK = 192
+    #: auto-dispatch threshold: vectorize once a round may gather this
+    #: many (broadcaster, neighbor) pairs, bounded by broadcasters times
+    #: the maximum degree — below it numpy call latency dominates
+    VECTORIZE_MIN_WORK = 64
 
     def __init__(
         self,
@@ -178,24 +179,39 @@ class Channel:
                 )
         adversary.bind(network, self.rng)
         self.adversary = adversary
+        n = network.n
+        self._max_degree = max(map(len, network.neighbors))
         # scratch buffers reused across rounds (scalar reference kernel)
-        self._hear_count = [0] * network.n
-        self._hear_from = [0] * network.n
+        self._hear_count = [0] * n
+        self._hear_from = [0] * n
         self._touched: list[int] = []
-        self._degree = [len(adj) for adj in network.neighbors]
+        # vectorized kernel: sender scratch, built on first use; slot n
+        # is the padding sink of the network's padded neighbor table
+        self._sender_of: Optional[np.ndarray] = None
 
-    def transmit(self, actions: dict[int, Packet]) -> RoundResult:
-        """Resolve one round given ``{broadcaster: packet}`` actions.
+    def transmit(self, broadcasters: Sequence[int]) -> RoundResult:
+        """Resolve one round given the ascending broadcaster ids.
 
         Implements the model: a listener receives iff exactly one neighbor
         broadcasts; sender faults silence a broadcaster toward *all* its
         neighbors; receiver faults independently silence each unique
         reception. Returns the full :class:`RoundResult` and advances the
-        round counter.
+        round counter. Raises :class:`SimulationError` unless the ids are
+        ints in ``[0, n)``, strictly ascending.
         """
-        return self._run_round(actions, self._resolve_auto)
+        kernel = self.kernel
+        if kernel == "scalar" or (
+            kernel == "auto"
+            and len(broadcasters) * self._max_degree < self.VECTORIZE_MIN_WORK
+        ):
+            return self._run_round(
+                self._id_list(broadcasters), self._resolve_scalar
+            )
+        return self._run_round(
+            self._id_array(broadcasters), self._resolve_vectorized
+        )
 
-    def transmit_reference(self, actions: dict[int, Packet]) -> RoundResult:
+    def transmit_reference(self, broadcasters: Sequence[int]) -> RoundResult:
         """Scalar reference kernel: same semantics, same RNG stream.
 
         Produces a :class:`RoundResult` identical to :meth:`transmit` for
@@ -203,39 +219,85 @@ class Channel:
         vectorized kernel is property-checked against, and as the
         baseline for `repro bench`.
         """
-        return self._run_round(actions, self._resolve_scalar)
+        return self._run_round(self._id_list(broadcasters), self._resolve_scalar)
 
     # -- kernel internals ---------------------------------------------------
 
-    def _run_round(self, actions: dict[int, Packet], resolver) -> RoundResult:
-        """Shared prologue/epilogue: validate, count, resolve, advance."""
+    def _id_list(self, broadcasters: Sequence[int]) -> list[int]:
+        """Validate broadcaster ids one by one; return them as a list."""
+        if isinstance(broadcasters, np.ndarray):
+            broadcasters = broadcasters.tolist()
         n = self.network.n
-        for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
+        prev = -1
+        numpy_ints = False
+        for b in broadcasters:
+            if type(b) is not int:
+                if not isinstance(b, np.integer):
+                    raise SimulationError(
+                        f"broadcast by invalid node {b!r}: ids must be ints"
+                    )
+                numpy_ints = True
+            if b <= prev:
+                if b < 0:
+                    raise SimulationError(
+                        f"broadcast by invalid node {b!r} (n={n})"
+                    )
                 raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
+                    f"broadcast by node {b!r} after node {prev!r}: ids must "
+                    "be strictly ascending, without duplicates"
                 )
-        result = RoundResult(round_index=self.round_index)
+            prev = b
+        if prev >= n:
+            raise SimulationError(f"broadcast by invalid node {prev!r} (n={n})")
+        if numpy_ints:
+            return [int(b) for b in broadcasters]
+        return broadcasters
+
+    def _id_array(self, broadcasters: Sequence[int]) -> np.ndarray:
+        """Validate broadcaster ids in bulk; return them as an int64 array."""
+        if not len(broadcasters):
+            return _NO_IDS
+        bs = np.asarray(broadcasters)
+        if (
+            bs.dtype.kind not in "iu"
+            or bs.ndim != 1
+            or bs[0] < 0
+            or bs[-1] >= self.network.n
+            or np.count_nonzero(bs[1:] <= bs[:-1])
+        ):
+            # the per-id check names the offending id
+            self._id_list(list(broadcasters))
+            raise SimulationError(f"invalid broadcaster ids {broadcasters!r}")
+        return bs.astype(np.int64, copy=False)
+
+    def _run_round(self, broadcasters, resolver) -> RoundResult:
+        """Shared prologue/epilogue around a kernel: count, resolve, advance.
+
+        ``broadcasters`` are already validated: a list for the scalar
+        kernel, an int64 array for the vectorized one.
+        """
+        result = RoundResult(self.round_index)
         counters = self.counters
         metrics_on = _METRICS.enabled
         # receiver faults are folded into result.noise_receivers together
         # with sender-silenced listeners; the exact per-round split only
         # exists as a counter delta
         faults_before = counters.receiver_faults if metrics_on else 0
+        count = len(broadcasters)
         counters.rounds += 1
-        counters.broadcasts += len(actions)
-        if actions:
-            resolver(actions, result)
+        counters.broadcasts += count
+        if count:
+            resolver(broadcasters, result)
         self.round_index += 1
         timeline = self.timeline
         if timeline.enabled:
-            timeline.on_round(result.round_index, counters, result.deliveries)
+            timeline.on_round(result.round_index, counters, result.receivers)
         if metrics_on:
             _M_ROUNDS.inc()
-            if actions:
-                _M_BROADCASTS.inc(len(actions))
-                if result.deliveries:
-                    _M_DELIVERIES.inc(len(result.deliveries))
+            if count:
+                _M_BROADCASTS.inc(count)
+                if result.receivers:
+                    _M_DELIVERIES.inc(len(result.receivers))
                 if result.collision_receivers:
                     _M_COLLISIONS.inc(len(result.collision_receivers))
                 if result.faulty_senders:
@@ -245,26 +307,45 @@ class Channel:
                     _M_RECEIVER_FAULTS.inc(receiver_faults)
         return result
 
-    def _resolve_auto(self, actions: dict[int, Packet], result: RoundResult) -> None:
-        """Kernel dispatch: honor ``self.kernel``, else pick by gather work."""
-        if self.kernel == "scalar":
-            resolver = self._resolve_scalar
-        elif self.kernel == "vectorized":
-            resolver = self._resolve_vectorized
-        else:
-            degree = self._degree
-            work = sum(degree[b] for b in actions)
-            resolver = (
-                self._resolve_vectorized
-                if work >= self.VECTORIZE_MIN_WORK
-                else self._resolve_scalar
-            )
-        resolver(actions, result)
+    def _gather(
+        self, bs: np.ndarray, padded: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The (heard, senders) pairs of broadcasters ``bs`` (ascending).
 
-    def _resolve_vectorized(
-        self, actions: dict[int, Packet], result: RoundResult
-    ) -> None:
-        """Array kernel over the network's CSR adjacency.
+        Without edge dynamics on a bounded-degree network, and unless
+        ``padded`` is off, this is one gather from the padded neighbor
+        table: ``heard`` is a ``(len(bs), max_degree)`` block whose
+        padding entries are the sink slot ``n``, and ``senders``
+        broadcasts over its rows. Otherwise it is the flat CSR gather,
+        in the slot order the adversary's ``edge_alive`` mask refers to.
+        """
+        network = self.network
+        adversary = self.adversary
+        if padded and not adversary.has_edge_dynamics:
+            table = network.padded_neighbors()
+            if table is not None:
+                return table[bs], bs[:, None]
+        flat, lens = network.csr_slots(bs)
+        heard = network.indices[flat]
+        senders = np.repeat(bs, lens)
+        if adversary.has_edge_dynamics:
+            # hand over the flat slots so the adversary need not rebuild them
+            alive = adversary.edge_alive(bs, flat)
+            if alive is not None:
+                heard = heard[alive]
+                senders = senders[alive]
+        return heard, senders
+
+    def _sender_scratch(self) -> np.ndarray:
+        sender_of = self._sender_of
+        if sender_of is None:
+            sender_of = self._sender_of = np.zeros(
+                self.network.n + 1, dtype=np.int64
+            )
+        return sender_of
+
+    def _resolve_vectorized(self, bs: np.ndarray, result: RoundResult) -> None:
+        """Array kernel over the network's adjacency.
 
         Adversary hooks fire in the fixed order ``begin_round`` ->
         ``sender_mask`` -> ``edge_alive`` -> ``receiver_mask`` — the same
@@ -272,88 +353,70 @@ class Channel:
         so any adversary that draws randomness only inside its hooks is
         kernel-independent.
         """
-        network = self.network
-        n = network.n
+        n = self.network.n
         counters = self.counters
         adversary = self.adversary
-        bs = np.fromiter(sorted(actions), dtype=np.int64, count=len(actions))
 
         if adversary.needs_begin_round:
             adversary.begin_round(self.round_index, bs)
         smask = adversary.sender_mask(bs)
-        faulty = bs[smask] if smask is not None else bs[:0]
-        if faulty.size:
+        if smask is not None and smask.any():
+            faulty = bs[smask]
             counters.sender_faults += int(faulty.size)
-            result.faulty_senders.extend(faulty.tolist())
+            result.faulty_senders = faulty.tolist()
+        else:
+            faulty = None
 
-        # gather all broadcasters' neighbor slices in one shot
-        indptr = network.indptr
-        starts = indptr[bs].astype(np.int64)
-        lens = indptr[bs + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        seg_starts = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_starts, lens
-        )
-        heard = network.indices[flat]
-        senders = np.repeat(bs, lens)
+        heard, senders = self._gather(bs)
+        # drop the padding sink; a fresh array, so also this round's scratch
+        hear_count = np.bincount(heard.ravel(), minlength=n + 1)[:n]
+        hear_count[bs] = 0  # a broadcasting node cannot receive
 
-        if adversary.has_edge_dynamics:
-            # the gather above already computed the flat slot array; hand
-            # it over so the adversary does not rebuild it
-            alive = adversary.edge_alive(bs, flat)
-            if alive is not None:
-                heard = heard[alive]
-                senders = senders[alive]
-
-        hear_count = np.bincount(heard, minlength=n)
-        sender_of = np.zeros(n, dtype=np.int64)
-        sender_of[heard] = senders  # only read where hear_count == 1
-
-        listening = np.ones(n, dtype=bool)
-        listening[bs] = False  # a broadcasting node cannot receive
-
-        collided = np.nonzero(listening & (hear_count >= 2))[0]
+        collided = (hear_count > 1).nonzero()[0]
         if collided.size:
             counters.collisions += int(collided.size)
-            result.collision_receivers.extend(collided.tolist())
-
-        unique = np.nonzero(listening & (hear_count == 1))[0]
+            result.collision_receivers = collided.tolist()
+        unique = (hear_count == 1).nonzero()[0]
+        if not unique.size:
+            adversary.receiver_mask(unique, unique)
+            return
+        sender_of = self._sender_scratch()
+        sender_of[heard] = senders  # only read where hear_count == 1
         unique_senders = sender_of[unique]
 
-        if faulty.size:
-            faulty_lookup = np.zeros(n, dtype=bool)
-            faulty_lookup[faulty] = True
-            silenced = faulty_lookup[unique_senders]
-            result.noise_receivers.extend(unique[silenced].tolist())
-            unique = unique[~silenced]
-            unique_senders = unique_senders[~silenced]
+        if faulty is not None:
+            # flag the faulty broadcasters in the scratch, zero there
+            hear_count[faulty] = -1
+            silenced = hear_count[unique_senders] < 0
+            result.noise_receivers = unique[silenced].tolist()
+            keep = ~silenced
+            unique = unique[keep]
+            unique_senders = unique_senders[keep]
 
         rmask = adversary.receiver_mask(unique, unique_senders)
-        if rmask is not None and rmask.any():
-            counters.receiver_faults += int(rmask.sum())
-            result.noise_receivers.extend(unique[rmask].tolist())
-            unique = unique[~rmask]
-            unique_senders = unique_senders[~rmask]
+        if rmask is not None:
+            hits = int(np.count_nonzero(rmask))
+            if hits:
+                counters.receiver_faults += hits
+                result.noise_receivers.extend(unique[rmask].tolist())
+                keep = ~rmask
+                unique = unique[keep]
+                unique_senders = unique_senders[keep]
 
         counters.deliveries += int(unique.size)
-        deliveries = result.deliveries
-        for v, s in zip(unique.tolist(), unique_senders.tolist()):
-            deliveries.append(Delivery(v, s, actions[s]))
+        result.receivers = unique.tolist()
+        result.senders = unique_senders.tolist()
 
-    def _resolve_scalar(
-        self, actions: dict[int, Packet], result: RoundResult
-    ) -> None:
+    def _resolve_scalar(self, broadcasters: list[int], result: RoundResult) -> None:
         """Per-node reference kernel.
 
         Calls the adversary hooks at the same points, in the same order,
         with the same ascending-id values as the vectorized kernel (see
         :meth:`_resolve_vectorized`), so both kernels consume one RNG
-        stream and agree delivery for delivery.
+        stream and agree reception for reception.
         """
         counters = self.counters
         adversary = self.adversary
-        broadcasters = sorted(actions)
 
         if adversary.needs_begin_round:
             adversary.begin_round(
@@ -401,12 +464,13 @@ class Channel:
         # non-silenced) receivers so the stream matches the vectorized
         # kernel
         touched.sort()
+        broadcasting = set(broadcasters)
         eligible: list[int] = []
         eligible_senders: list[int] = []
         for v in touched:
             count = hear_count[v]
             hear_count[v] = 0  # reset scratch as we go
-            if v in actions:
+            if v in broadcasting:
                 continue  # a broadcasting node cannot receive
             if count >= 2:
                 counters.collisions += 1
@@ -420,14 +484,20 @@ class Channel:
         touched.clear()
 
         rmask = adversary.receiver_mask(eligible, eligible_senders)
-        for i, v in enumerate(eligible):
-            sender = eligible_senders[i]
-            if rmask is not None and rmask[i]:
-                counters.receiver_faults += 1
-                result.noise_receivers.append(v)
-                continue
-            counters.deliveries += 1
-            result.deliveries.append(Delivery(v, sender, actions[sender]))
+        if rmask is not None:
+            receivers = result.receivers
+            senders = result.senders
+            for v, sender, hit in zip(eligible, eligible_senders, rmask):
+                if hit:
+                    result.noise_receivers.append(v)
+                else:
+                    receivers.append(v)
+                    senders.append(sender)
+            counters.receiver_faults += len(eligible) - len(receivers)
+        else:
+            result.receivers = eligible
+            result.senders = eligible_senders
+        counters.deliveries += len(result.receivers)
 
 
 class Simulator:
@@ -506,11 +576,13 @@ class Simulator:
         return self.channel.round_index
 
     def step(self) -> RoundResult:
-        """Run one round: collect actions, transmit, deliver."""
+        """Run one round: collect broadcasters, transmit, deliver."""
         population = self.population
-        result = self.channel.transmit(population.actions(self.channel.round_index))
-        if result.deliveries:
-            population.deliver(result.round_index, result.deliveries)
+        result = self.channel.transmit(
+            population.broadcasters(self.channel.round_index)
+        )
+        if result.receivers:
+            population.deliver(result.round_index, result.receivers, result.senders)
         return result
 
     def run(

@@ -85,6 +85,7 @@ class RadioNetwork:
         )
 
         self._graph = graph
+        self._padded: "np.ndarray | None | bool" = False  # False: not built
         self._levels: Optional[list[int]] = None
         self._diameter: Optional[int] = None
         self._eccentricity: Optional[int] = None
@@ -117,6 +118,39 @@ class RadioNetwork:
     @property
     def max_degree(self) -> int:
         return max(len(adj) for adj in self.neighbors)
+
+    def csr_slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat CSR slots of ``nodes``' neighbor lists, concatenated in
+        order, and each node's degree: ``indices[slots]`` lists the
+        neighbors of ``nodes[0]``, then of ``nodes[1]``, and so on."""
+        indptr = self.indptr
+        starts = indptr[nodes].astype(np.int64)
+        lens = indptr[nodes + 1].astype(np.int64) - starts
+        seg_starts = np.cumsum(lens) - lens
+        slots = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(
+            starts - seg_starts, lens
+        )
+        return slots, lens
+
+    def padded_neighbors(self) -> Optional[np.ndarray]:
+        """Adjacency as an ``(n, max_degree)`` int64 table, or None.
+
+        Row ``v`` lists ``v``'s neighbors, padded with the sink id ``n``,
+        so one indexing call gathers the neighbors of any node set. Only
+        networks whose table is at most twice the CSR size (plus ``n``)
+        get one: a star's would be ``n^2``. Built on first call, cached.
+        """
+        if self._padded is False:
+            n = self.n
+            degree = np.diff(self.indptr)
+            width = int(degree.max())
+            if n * width > 2 * len(self.indices) + n:
+                self._padded = None
+            else:
+                table = np.full((n, width), n, dtype=np.int64)
+                table[np.arange(width) < degree[:, None]] = self.indices
+                self._padded = table
+        return self._padded
 
     # -- metrics ------------------------------------------------------------
 

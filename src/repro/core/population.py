@@ -1,9 +1,10 @@
 """The node population a :class:`~repro.core.engine.Simulator` drives.
 
-A population answers three questions per round: who broadcasts what
-(:meth:`Population.actions`), what the channel's deliveries change
+A population answers three questions per round: who broadcasts
+(:meth:`Population.broadcasters`), what the channel's receptions change
 (:meth:`Population.deliver`), and whether the run is finished
-(:meth:`Population.all_done`). The simulator makes one call of each per
+(:meth:`Population.all_done`). The channel only sees node ids: what a
+broadcaster sends is the population's own business. The simulator makes one call of each per
 round, whatever the population's internal layout.
 
 Two layouts exist:
@@ -20,13 +21,10 @@ Two layouts exist:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core.packets import Packet
 from repro.core.protocol import NodeProtocol
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import Delivery
 
 __all__ = ["Population", "ProtocolPopulation"]
 
@@ -38,12 +36,17 @@ class Population(abc.ABC):
     n: int
 
     @abc.abstractmethod
-    def actions(self, round_index: int) -> dict[int, Packet]:
-        """This round's ``{broadcaster: packet}`` actions."""
+    def broadcasters(self, round_index: int) -> list[int]:
+        """This round's broadcasting nodes, ascending. The channel reads
+        the list before the next :meth:`deliver` call and keeps no
+        reference to it."""
 
     @abc.abstractmethod
-    def deliver(self, round_index: int, deliveries: "Sequence[Delivery]") -> None:
-        """Apply the channel's successful receptions of ``round_index``."""
+    def deliver(
+        self, round_index: int, receivers: Sequence[int], senders: Sequence[int]
+    ) -> None:
+        """Apply the channel's successful receptions of ``round_index``:
+        node ``receivers[i]`` received the packet of ``senders[i]``."""
 
     @abc.abstractmethod
     def done_count(self) -> int:
@@ -66,23 +69,27 @@ class ProtocolPopulation(Population):
     def __init__(self, protocols: Sequence[NodeProtocol]) -> None:
         self.protocols = list(protocols)
         self.n = len(self.protocols)
+        #: the latest round's ``{broadcaster: packet}``, read by deliver
+        self.packets: dict[int, Packet] = {}
 
-    def actions(self, round_index: int) -> dict[int, Packet]:
-        actions: dict[int, Packet] = {}
+    def broadcasters(self, round_index: int) -> list[int]:
+        packets: dict[int, Packet] = {}
         for node, protocol in enumerate(self.protocols):
             if not protocol.active:
                 continue
             packet = protocol.act(round_index)
             if packet is not None:
-                actions[node] = packet
-        return actions
+                packets[node] = packet
+        self.packets = packets
+        return list(packets)
 
-    def deliver(self, round_index: int, deliveries: "Sequence[Delivery]") -> None:
+    def deliver(
+        self, round_index: int, receivers: Sequence[int], senders: Sequence[int]
+    ) -> None:
         protocols = self.protocols
-        for delivery in deliveries:
-            protocols[delivery.receiver].on_receive(
-                round_index, delivery.packet, delivery.sender
-            )
+        packets = self.packets
+        for v, s in zip(receivers, senders):
+            protocols[v].on_receive(round_index, packets[s], s)
 
     def done_count(self) -> int:
         return sum(1 for p in self.protocols if p.is_done())

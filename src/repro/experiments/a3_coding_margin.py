@@ -14,7 +14,6 @@ import math
 
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
-from repro.core.packets import RSPacket
 from repro.experiments.common import register
 from repro.topologies.basic import star
 from repro.util.rng import RandomSource
@@ -29,10 +28,9 @@ def _fixed_length_star_coding(
     channel = Channel(network, FaultConfig.receiver(p), rng)
     hub = network.source
     receptions = {v: 0 for v in network.nodes() if v != hub}
-    for j in range(length):
-        result = channel.transmit({hub: RSPacket(coded_index=j)})
-        for delivery in result.deliveries:
-            receptions[delivery.receiver] += 1
+    for _ in range(length):
+        for receiver in channel.transmit([hub]).receivers:
+            receptions[receiver] += 1
     return min(receptions.values()) >= k
 
 

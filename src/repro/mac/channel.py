@@ -42,8 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.engine import Channel, Delivery, RoundResult
-from repro.core.errors import SimulationError
+from repro.core.engine import Channel, RoundResult
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
@@ -154,65 +153,69 @@ class ContentionChannel(Channel):
         # MAC randomness rides a child stream so the adversary's draws on
         # the channel stream are unchanged versus a default-channel run
         self._mac_rng = self.rng.spawn()
+        # capture count at the last metrics update (per-slot delta)
+        self._captures_seen = 0
 
     # -- public entry points -------------------------------------------------
 
-    def transmit(self, actions) -> RoundResult:
-        """Resolve one MAC slot given ``{offerer: packet}`` offers."""
-        return self._mac_round(actions, self._resolve_auto, scalar=False)
+    def transmit(self, broadcasters) -> RoundResult:
+        """Resolve one MAC slot given the ascending ids of the offerers."""
+        contenders = self._id_array(broadcasters)
+        tx, defers = self._gate_vectorized(contenders)
+        if self.kernel == "scalar" or (
+            self.kernel == "auto"
+            and tx.size * self._max_degree < self.VECTORIZE_MIN_WORK
+        ):
+            tx_ids, resolver = tx.tolist(), self._resolve_scalar
+        else:
+            tx_ids, resolver = tx, self._resolve_vectorized
+        result = self._run_round(tx_ids, resolver)
+        successes = self._feedback_vectorized(tx, result)
+        self._count(len(contenders), defers, len(tx), successes)
+        return result
 
-    def transmit_reference(self, actions) -> RoundResult:
+    def transmit_reference(self, broadcasters) -> RoundResult:
         """Scalar reference: same slot semantics, same RNG stream."""
-        return self._mac_round(actions, self._resolve_scalar, scalar=True)
+        contenders = self._id_list(broadcasters)
+        tx, defers = self._gate_scalar(contenders)
+        result = self._run_round(tx, self._resolve_scalar)
+        successes = self._feedback_scalar(tx, result)
+        self._count(len(contenders), defers, len(tx), successes)
+        return result
 
     # -- slot pipeline -------------------------------------------------------
 
-    def _mac_round(self, actions, resolver, scalar: bool) -> RoundResult:
-        n = self.network.n
-        for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
-                raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
-                )
+    def _count(self, offers: int, defers: int, sent: int, successes: int) -> None:
+        """Post-slot MAC counters and metrics."""
         counters = self.counters
-        metrics_on = _METRICS.enabled
-        captures_before = counters.mac_captures
-        if scalar:
-            tx_nodes, defers = self._gate_scalar(actions)
-        else:
-            tx_nodes, defers = self._gate_vectorized(actions)
-        counters.mac_offers += len(actions)
+        counters.mac_offers += offers
         counters.mac_defers += defers
-        counters.mac_transmissions += len(tx_nodes)
-        tx_actions = {b: actions[b] for b in tx_nodes}
-        result = self._run_round(tx_actions, resolver)
-        successes = self._feedback(tx_nodes, result, scalar)
-        if metrics_on:
-            if actions:
-                _M_OFFERS.inc(len(actions))
+        counters.mac_transmissions += sent
+        counters.mac_tx_success += successes
+        counters.mac_tx_collisions += sent - successes
+        if _METRICS.enabled:
+            if offers:
+                _M_OFFERS.inc(offers)
             if defers:
                 _M_DEFERS.inc(defers)
-            if tx_nodes:
-                _M_TRANSMISSIONS.inc(len(tx_nodes))
-                failed = len(tx_nodes) - successes
+            if sent:
+                _M_TRANSMISSIONS.inc(sent)
+                failed = sent - successes
                 if failed:
                     _M_MAC_COLLISIONS.inc(failed)
                 if successes:
                     _M_BACKOFF_RESETS.inc(successes)
-            captures = counters.mac_captures - captures_before
+            captures = counters.mac_captures - self._captures_seen
             if captures:
                 _M_CAPTURES.inc(captures)
-        return result
+        self._captures_seen = counters.mac_captures
 
-    def _gate_vectorized(self, actions) -> tuple[list[int], int]:
+    def _gate_vectorized(self, contenders: np.ndarray) -> tuple[np.ndarray, int]:
         """Numpy MAC gate: draw, sense, fire, count down — in bulk."""
         config = self.config
         backoff = self._backoff
-        contenders = np.fromiter(
-            sorted(actions), dtype=np.int64, count=len(actions)
-        )
         if contenders.size == 0:
-            return [], 0
+            return contenders, 0
         fresh = contenders[backoff[contenders] < 0]
         if fresh.size:
             draws = self._mac_rng.uniform_array(int(fresh.size))
@@ -230,13 +233,12 @@ class ContentionChannel(Channel):
         backoff[active[~firing]] -= 1
         if config.capture and tx.size:
             self._power[tx] = self._mac_rng.uniform_array(int(tx.size))
-        return tx.tolist(), defers
+        return tx, defers
 
-    def _gate_scalar(self, actions) -> tuple[list[int], int]:
+    def _gate_scalar(self, contenders: list[int]) -> tuple[list[int], int]:
         """Reference MAC gate: per-node loop over the same bulk draws."""
         config = self.config
         backoff = self._backoff
-        contenders = sorted(actions)
         if not contenders:
             return [], 0
         fresh = [b for b in contenders if backoff[b] < 0]
@@ -261,65 +263,59 @@ class ContentionChannel(Channel):
                 self._power[b] = powers[i]
         return tx, defers
 
-    def _feedback(self, tx_nodes: list[int], result: RoundResult, scalar: bool) -> int:
-        """Post-slot bookkeeping: energy map, backoff evolution, redraws.
+    # Post-slot bookkeeping: energy map, backoff evolution, redraws. Each
+    # returns the number of successful transmissions (a transmission
+    # succeeded iff some receiver names it). Every transmitter redraws
+    # its counter from one bulk uniform draw in ascending node order, so
+    # the RNG stream is outcome-independent and identical across kernels.
 
-        Returns the number of successful transmissions. Every transmitter
-        redraws its counter from one bulk uniform draw in ascending node
-        order, so the RNG stream is outcome-independent and identical
-        across kernels.
-        """
+    def _feedback_vectorized(self, tx: np.ndarray, result: RoundResult) -> int:
         busy = self._busy_prev
         busy[:] = False
-        if not tx_nodes:
+        if not tx.size:
             return 0
-        counters = self.counters
         config = self.config
         stage = self._stage
-        max_stage = config.max_stage
         network = self.network
-        succeeded = {delivery.sender for delivery in result.deliveries}
-        draws = self._mac_rng.uniform_array(len(tx_nodes))
-        if scalar:
-            successes = 0
-            for b in tx_nodes:
-                busy[b] = True
-                for v in network.neighbors[b]:
-                    busy[v] = True
-            for i, b in enumerate(tx_nodes):
-                if b in succeeded:
-                    stage[b] = 0
-                    successes += 1
-                else:
-                    stage[b] = min(int(stage[b]) + 1, max_stage)
-                self._backoff[b] = int(draws[i] * config.window(int(stage[b])))
-            counters.mac_tx_success += successes
-            counters.mac_tx_collisions += len(tx_nodes) - successes
-            return successes
-        tx = np.asarray(tx_nodes, dtype=np.int64)
+        draws = self._mac_rng.uniform_array(int(tx.size))
         busy[tx] = True
-        indptr = network.indptr
-        starts = indptr[tx].astype(np.int64)
-        lens = indptr[tx + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        seg_starts = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_starts, lens
-        )
-        busy[network.indices[flat]] = True
+        slots, _ = network.csr_slots(tx)
+        busy[network.indices[slots]] = True
+        succeeded = set(result.senders)
         succ = np.fromiter(
-            (b in succeeded for b in tx_nodes), dtype=bool, count=len(tx_nodes)
+            (b in succeeded for b in tx.tolist()), dtype=bool, count=tx.size
         )
         stage[tx[succ]] = 0
         failed = tx[~succ]
-        stage[failed] = np.minimum(stage[failed] + 1, max_stage)
+        stage[failed] = np.minimum(stage[failed] + 1, config.max_stage)
         windows = np.minimum(
             np.left_shift(np.int64(config.cw_min), stage[tx]), config.cw_max
         )
         self._backoff[tx] = (draws * windows).astype(np.int64)
-        successes = int(succ.sum())
-        counters.mac_tx_success += successes
-        counters.mac_tx_collisions += len(tx_nodes) - successes
+        return int(succ.sum())
+
+    def _feedback_scalar(self, tx: list[int], result: RoundResult) -> int:
+        busy = self._busy_prev
+        busy[:] = False
+        if not tx:
+            return 0
+        config = self.config
+        stage = self._stage
+        neighbors = self.network.neighbors
+        succeeded = set(result.senders)
+        draws = self._mac_rng.uniform_array(len(tx))
+        successes = 0
+        for b in tx:
+            busy[b] = True
+            for v in neighbors[b]:
+                busy[v] = True
+        for i, b in enumerate(tx):
+            if b in succeeded:
+                stage[b] = 0
+                successes += 1
+            else:
+                stage[b] = min(int(stage[b]) + 1, config.max_stage)
+            self._backoff[b] = int(draws[i] * config.window(int(stage[b])))
         return successes
 
     # -- capture-aware resolution -------------------------------------------
@@ -329,15 +325,14 @@ class ContentionChannel(Channel):
     # transmitters can still win a receiver, which needs per-receiver
     # transmitter groups rather than the base kernel's hear-counts.
 
-    def _resolve_vectorized(self, actions, result: RoundResult) -> None:
+    def _resolve_vectorized(self, bs: np.ndarray, result: RoundResult) -> None:
         if not self.config.capture:
-            super()._resolve_vectorized(actions, result)
+            super()._resolve_vectorized(bs, result)
             return
         network = self.network
         n = network.n
         counters = self.counters
         adversary = self.adversary
-        bs = np.fromiter(sorted(actions), dtype=np.int64, count=len(actions))
 
         if adversary.needs_begin_round:
             adversary.begin_round(self.round_index, bs)
@@ -345,24 +340,9 @@ class ContentionChannel(Channel):
         faulty = bs[smask] if smask is not None else bs[:0]
         if faulty.size:
             counters.sender_faults += int(faulty.size)
-            result.faulty_senders.extend(faulty.tolist())
+            result.faulty_senders = faulty.tolist()
 
-        indptr = network.indptr
-        starts = indptr[bs].astype(np.int64)
-        lens = indptr[bs + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        seg_starts = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_starts, lens
-        )
-        heard = network.indices[flat]
-        senders = np.repeat(bs, lens)
-
-        if adversary.has_edge_dynamics:
-            alive = adversary.edge_alive(bs, flat)
-            if alive is not None:
-                heard = heard[alive]
-                senders = senders[alive]
+        heard, senders = self._gather(bs, padded=False)
 
         listening = np.ones(n, dtype=bool)
         listening[bs] = False  # a transmitting node cannot receive
@@ -416,17 +396,15 @@ class ContentionChannel(Channel):
             unique_senders = unique_senders[~rmask]
 
         counters.deliveries += int(unique.size)
-        deliveries = result.deliveries
-        for v, sdr in zip(unique.tolist(), unique_senders.tolist()):
-            deliveries.append(Delivery(v, sdr, actions[sdr]))
+        result.receivers = unique.tolist()
+        result.senders = unique_senders.tolist()
 
-    def _resolve_scalar(self, actions, result: RoundResult) -> None:
+    def _resolve_scalar(self, broadcasters: list[int], result: RoundResult) -> None:
         if not self.config.capture:
-            super()._resolve_scalar(actions, result)
+            super()._resolve_scalar(broadcasters, result)
             return
         counters = self.counters
         adversary = self.adversary
-        broadcasters = sorted(actions)
 
         if adversary.needs_begin_round:
             adversary.begin_round(
@@ -446,11 +424,12 @@ class ContentionChannel(Channel):
             if adversary.has_edge_dynamics
             else None
         )
+        broadcasting = set(broadcasters)
         heard_by: dict[int, list[int]] = {}
         slot = 0
         for b in broadcasters:
             for v in neighbors[b]:
-                if (alive is None or alive[slot]) and v not in actions:
+                if (alive is None or alive[slot]) and v not in broadcasting:
                     heard_by.setdefault(v, []).append(b)
                 slot += 1
 
@@ -493,4 +472,5 @@ class ContentionChannel(Channel):
                 result.noise_receivers.append(v)
                 continue
             counters.deliveries += 1
-            result.deliveries.append(Delivery(v, sender, actions[sender]))
+            result.receivers.append(v)
+            result.senders.append(sender)

@@ -39,6 +39,7 @@ from repro.util.rng import RandomSource
 
 __all__ = [
     "BenchResult",
+    "channel_workload",
     "consistency_check",
     "run_hotpath_benchmarks",
     "write_report",
@@ -96,9 +97,22 @@ def _rate(run: Callable[[], int], repeats: int = 2) -> float:
 # -- channel rounds ---------------------------------------------------------
 
 
+def channel_workload(
+    rounds: int, n: int = 1024, seed: int = 7
+) -> tuple[RadioNetwork, list[list[int]]]:
+    """A sparse G(n, 16/n) and ``rounds`` ascending n/8-node broadcast sets."""
+    network = random_graphs.gnp(n, 16.0 / n, rng=seed)
+    pick = RandomSource(seed)
+    broadcast_sets = [
+        sorted(pick.sample(range(network.n), network.n // 8))
+        for _ in range(rounds)
+    ]
+    return network, broadcast_sets
+
+
 def _channel_round_run(
     network: RadioNetwork,
-    action_sets: list[dict],
+    broadcast_sets: list[list[int]],
     vectorized: bool,
     seed: int,
 ) -> Callable[[], int]:
@@ -110,26 +124,18 @@ def _channel_round_run(
             kernel="vectorized" if vectorized else "scalar",
         )
         transmit = channel.transmit if vectorized else channel.transmit_reference
-        for actions in action_sets:
-            transmit(actions)
-        return len(action_sets)
+        for broadcasters in broadcast_sets:
+            transmit(broadcasters)
+        return len(broadcast_sets)
 
     return run
 
 
 def bench_channel_rounds(rounds: int, n: int = 1024, seed: int = 7) -> BenchResult:
     """Round resolution on a sparse G(n, p) with an n/8-node broadcast set."""
-    from repro.core.packets import MessagePacket
-
-    network = random_graphs.gnp(n, 16.0 / n, rng=seed)
-    pick = RandomSource(seed)
-    packet = MessagePacket(0)
-    action_sets = [
-        {v: packet for v in pick.sample(range(network.n), network.n // 8)}
-        for _ in range(rounds)
-    ]
-    vec = _rate(_channel_round_run(network, action_sets, True, seed))
-    ref = _rate(_channel_round_run(network, action_sets, False, seed))
+    network, broadcast_sets = channel_workload(rounds, n, seed)
+    vec = _rate(_channel_round_run(network, broadcast_sets, True, seed))
+    ref = _rate(_channel_round_run(network, broadcast_sets, False, seed))
     return BenchResult(
         name="channel_rounds",
         ops_per_sec=vec,
@@ -175,8 +181,8 @@ def _star_rlnc_run(
             packet = emit(emit_rng)
             coefficients = packet.coefficient_array()
             payload = packet.payload_array()
-            for delivery in transmit({network.source: packet}).deliveries:
-                leaves[delivery.receiver - 1].receive_raw(coefficients, payload)
+            for receiver in transmit([network.source]).receivers:
+                leaves[receiver - 1].receive_raw(coefficients, payload)
         return rounds
 
     return run
@@ -299,10 +305,7 @@ def consistency_check(samples: int = 20, rounds: int = 8) -> list[str]:
     packet streams; returns a list of human-readable mismatch descriptions
     (empty list = everything agrees).
     """
-    from repro.core.packets import MessagePacket
-
     failures: list[str] = []
-    packet = MessagePacket(0)
     sampler = RandomSource(20260730)
 
     for index in range(samples):
@@ -328,13 +331,12 @@ def consistency_check(samples: int = 20, rounds: int = 8) -> list[str]:
         diverged = False
         for round_index in range(rounds):
             count = sampler.randint(0, network.n)
-            actions = {
-                v: packet for v in sampler.sample(range(network.n), count)
-            }
-            a = vec.transmit(dict(actions))
-            b = ref.transmit_reference(dict(actions))
+            broadcasters = sorted(sampler.sample(range(network.n), count))
+            a = vec.transmit(broadcasters)
+            b = ref.transmit_reference(broadcasters)
             if (
-                a.deliveries != b.deliveries
+                a.receivers != b.receivers
+                or a.senders != b.senders
                 or a.noise_receivers != b.noise_receivers
                 or a.collision_receivers != b.collision_receivers
                 or a.faulty_senders != b.faulty_senders

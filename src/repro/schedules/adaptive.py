@@ -27,7 +27,6 @@ from repro.algorithms.base import ilog2
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket
 from repro.core.trace import ChannelCounters
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
@@ -172,15 +171,15 @@ def run_adaptive_schedule(
         if all(len(have) == k for have in knowledge):
             break
         wanted = scheduler.decide(rounds, knowledge, decide_rng)
-        actions = {
-            node: MessagePacket(message)
+        messages = {
+            node: message
             for node, message in wanted.items()
             if message in knowledge[node]
         }
-        result = channel.transmit(actions)
+        result = channel.transmit(sorted(messages))
         rounds += 1
-        for delivery in result.deliveries:
-            knowledge[delivery.receiver].add(delivery.packet.index)
+        for receiver, sender in zip(result.receivers, result.senders):
+            knowledge[receiver].add(messages[sender])
 
     completed = sum(1 for have in knowledge if len(have) == k)
     return AdaptiveOutcome(

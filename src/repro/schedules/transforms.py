@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig, FaultModel
-from repro.core.packets import MessagePacket, RSPacket
 from repro.schedules.schedule import (
     ReferenceExecution,
     StaticRoutingSchedule,
@@ -140,11 +139,9 @@ def transform_routing_schedule(
             for receiver, sender, _ in reference.deliveries[r]
         }
         for _ in range(length):
-            live = {
-                node: MessagePacket(message)
-                for node, message in live_broadcasters.items()
-                if sent_count[node] < x
-            }
+            live = sorted(
+                node for node in live_broadcasters if sent_count[node] < x
+            )
             if not live:
                 break
             result = channel.transmit(live)
@@ -153,8 +150,7 @@ def transform_routing_schedule(
             for node in live:
                 if node not in faulty:
                     sent_count[node] += 1
-            for d in result.deliveries:
-                key = (d.receiver, d.sender)
+            for key in zip(result.receivers, result.senders):
                 if key in got_count:
                     got_count[key] += 1
         for (receiver, sender), count in got_count.items():
@@ -228,15 +224,11 @@ def transform_coding_schedule(
             (receiver, sender): 0
             for receiver, sender, _ in reference.deliveries[r]
         }
-        for j in range(length):
-            live = {
-                node: RSPacket(coded_index=j)
-                for node in actions
-                if decoded_ok[node]
-            }
+        # every live broadcaster sends its j-th coded packet in step j
+        live = sorted(node for node in actions if decoded_ok[node])
+        for _ in range(length):
             result = channel.transmit(live)
-            for d in result.deliveries:
-                key = (d.receiver, d.sender)
+            for key in zip(result.receivers, result.senders):
                 if key in got_count:
                     got_count[key] += 1
         for (receiver, sender), count in got_count.items():

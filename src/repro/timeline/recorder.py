@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import Delivery
     from repro.core.trace import ChannelCounters
     from repro.timeline.config import TimelineConfig
 
@@ -56,7 +55,7 @@ class _DisabledTimeline:
 
     enabled = False
 
-    def on_round(self, round_index, counters, deliveries) -> None:
+    def on_round(self, round_index, counters, receivers) -> None:
         return
 
     def note_innovative(self, count: int = 1) -> None:
@@ -140,7 +139,7 @@ class TimelineRecorder:
         self,
         round_index: int,
         counters: "ChannelCounters",
-        deliveries: "Sequence[Delivery]",
+        receivers: Sequence[int],
     ) -> None:
         """Absorb one resolved channel round (the ``_run_round`` epilogue)."""
         bucket = round_index // self.every
@@ -164,12 +163,8 @@ class TimelineRecorder:
         self._p_sender_faults = counters.sender_faults
         self._p_receiver_faults = counters.receiver_faults
 
-        if deliveries and (self._first_pending or self.informed < self.n):
-            receivers = np.fromiter(
-                (d.receiver for d in deliveries),
-                dtype=np.int64,
-                count=len(deliveries),
-            )
+        if len(receivers) and (self._first_pending or self.informed < self.n):
+            receivers = np.asarray(receivers, dtype=np.int64)
             fresh = receivers[self.first_delivery[receivers] < 0]
             if fresh.size:
                 self.first_delivery[fresh] = round_index

@@ -2,7 +2,7 @@
 
 Extends the ``tests/core/test_channel_vectorized.py`` pattern to the
 adversary subsystem: for every registered adversary model, the
-vectorized and scalar channel kernels must agree delivery for delivery
+vectorized and scalar channel kernels must agree reception for reception
 over >= 40 sampled (topology, seed, adversary-param) configurations, and
 rebuilding the same configuration from the same seed must reproduce the
 run byte for byte — at the channel level (round streams) and at the
@@ -11,16 +11,15 @@ runner level (canonical RunReport JSON).
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.adversary import all_adversaries
 from repro.core.engine import Channel
 from repro.core.faults import AdversaryConfig
-from repro.core.packets import MessagePacket
+from repro.core.network import RadioNetwork
 from repro.runner import Scenario, run
 from repro.topologies import basic, random_graphs
-
-PACKET = MessagePacket(0)
 
 ADVERSARY_KINDS = tuple(kind.name for kind in all_adversaries())
 
@@ -75,17 +74,47 @@ def _sample_params(kind: str, sampler: random.Random) -> dict:
     raise AssertionError(f"no sampler for adversary kind {kind!r}")
 
 
-def _sample_actions(sampler: random.Random, n: int) -> dict:
+def _sample_broadcasters(sampler: random.Random, n: int) -> list[int]:
     count = sampler.randint(0, n)
-    return {v: PACKET for v in sampler.sample(range(n), count)}
+    return sorted(sampler.sample(range(n), count))
 
 
 def _assert_rounds_equal(a, b, context: str) -> None:
     assert a.round_index == b.round_index, context
-    assert a.deliveries == b.deliveries, context
+    assert a.receivers == b.receivers, context
+    assert a.senders == b.senders, context
     assert a.noise_receivers == b.noise_receivers, context
     assert a.collision_receivers == b.collision_receivers, context
     assert a.faulty_senders == b.faulty_senders, context
+
+
+def _everyone():
+    network = basic.grid(7, 7)
+    return network, [list(range(network.n))] * 4
+
+
+def _empty_rounds():
+    network = basic.grid(6, 6)
+    return network, [[], list(range(0, 36, 4)), [], [], list(range(2, 36, 7)), []]
+
+
+def _single_node():
+    return RadioNetwork(nx.empty_graph(1)), [[0], [], [0], [0]]
+
+
+def _star_leaves():
+    network = basic.star(800)
+    leaves = [v for v in network.nodes() if v != network.source]
+    return network, [leaves, leaves[:1], leaves[::2], [network.source], leaves]
+
+
+#: broadcaster schedules at the vectorized kernel's input limits
+LIMIT_CASES = {
+    "everyone": _everyone,
+    "empty_rounds": _empty_rounds,
+    "single_node": _single_node,
+    "star_leaves": _star_leaves,
+}
 
 
 class TestKernelEquivalence:
@@ -108,13 +137,31 @@ class TestKernelEquivalence:
                 f"adversary={config} seed={seed}"
             )
             for _ in range(8):
-                actions = _sample_actions(sampler, network.n)
-                got = vectorized.transmit(dict(actions))
-                want = scalar.transmit(dict(actions))
+                broadcasters = _sample_broadcasters(sampler, network.n)
+                got = vectorized.transmit(broadcasters)
+                want = scalar.transmit(broadcasters)
                 _assert_rounds_equal(got, want, context)
             assert (
                 vectorized.counters.as_dict() == scalar.counters.as_dict()
             ), context
+
+    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+    @pytest.mark.parametrize("limit", sorted(LIMIT_CASES))
+    def test_kernels_agree_at_input_limits(self, kind, limit):
+        """Every node broadcasting, empty rounds, n = 1, and a large star
+        whose leaves broadcast (no padded table: the CSR gather)."""
+        network, rounds = LIMIT_CASES[limit]()
+        sampler = random.Random(len(kind) + len(limit))
+        config = AdversaryConfig(kind, _sample_params(kind, sampler))
+        vectorized = Channel(network, rng=9, kernel="vectorized", adversary=config)
+        scalar = Channel(network, rng=9, kernel="scalar", adversary=config)
+        for index, broadcasters in enumerate(rounds):
+            _assert_rounds_equal(
+                vectorized.transmit(broadcasters),
+                scalar.transmit(broadcasters),
+                f"{limit} round {index} adversary={config}",
+            )
+        assert vectorized.counters.as_dict() == scalar.counters.as_dict()
 
     @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
     def test_same_seed_rounds_are_byte_identical(self, kind):
@@ -128,9 +175,9 @@ class TestKernelEquivalence:
             streams = []
             for _ in range(2):
                 channel = Channel(network, rng=seed, adversary=config)
-                actions_rng = random.Random(action_seed)
+                ids_rng = random.Random(action_seed)
                 rounds = [
-                    channel.transmit(_sample_actions(actions_rng, network.n))
+                    channel.transmit(_sample_broadcasters(ids_rng, network.n))
                     for _ in range(6)
                 ]
                 streams.append((rounds, channel.counters.as_dict()))

@@ -110,7 +110,8 @@ def _pair(algorithm, network, seed, knobs):
 
 def _assert_rounds_equal(a, b, context):
     assert a.round_index == b.round_index, context
-    assert a.deliveries == b.deliveries, context
+    assert a.receivers == b.receivers, context
+    assert a.senders == b.senders, context
     assert a.noise_receivers == b.noise_receivers, context
     assert a.collision_receivers == b.collision_receivers, context
     assert a.faulty_senders == b.faulty_senders, context

@@ -3,8 +3,9 @@
 Samples random topologies, fault models, probabilities, seeds, and
 broadcast sets, and checks that :meth:`Channel.transmit` (vectorized
 kernel) and :meth:`Channel.transmit_reference` (scalar kernel) agree
-delivery-for-delivery — same deliveries in the same order, same noise and
-collision receivers, same faulty senders, same counters. Both kernels
+reception-for-reception — same receiver and sender columns in the same
+order, same noise and collision receivers, same faulty senders, same
+counters. Both kernels
 draw fault coins through the same bulk calls, so agreement is exact, not
 statistical.
 """
@@ -14,13 +15,10 @@ import random
 import networkx as nx
 import pytest
 
-from repro.core.engine import Channel, Simulator
+from repro.core.engine import Channel, RoundResult, Simulator
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket
 from repro.topologies import basic, random_graphs
-
-PACKET = MessagePacket(0)
 
 
 def _sample_network(sampler: random.Random, config_index: int) -> RadioNetwork:
@@ -51,7 +49,8 @@ def _sample_faults(sampler: random.Random) -> FaultConfig:
 
 def _assert_rounds_equal(a, b, context: str) -> None:
     assert a.round_index == b.round_index, context
-    assert a.deliveries == b.deliveries, context
+    assert a.receivers == b.receivers, context
+    assert a.senders == b.senders, context
     assert a.noise_receivers == b.noise_receivers, context
     assert a.collision_receivers == b.collision_receivers, context
     assert a.faulty_senders == b.faulty_senders, context
@@ -74,11 +73,9 @@ class TestKernelEquivalence:
             )
             for _ in range(8):
                 count = sampler.randint(0, network.n)
-                actions = {
-                    v: PACKET for v in sampler.sample(range(network.n), count)
-                }
-                got = vectorized.transmit(dict(actions))
-                want = reference.transmit_reference(dict(actions))
+                broadcasters = sorted(sampler.sample(range(network.n), count))
+                got = vectorized.transmit(broadcasters)
+                want = reference.transmit_reference(broadcasters)
                 _assert_rounds_equal(got, want, context)
             assert vectorized.counters.as_dict() == reference.counters.as_dict(), (
                 context
@@ -92,8 +89,8 @@ class TestKernelEquivalence:
             auto = Channel(network, FaultConfig.receiver(0.3), rng=seed)
             reference = Channel(network, FaultConfig.receiver(0.3), rng=seed)
             for _ in range(4):
-                got = auto.transmit({0: PACKET})
-                want = reference.transmit_reference({0: PACKET})
+                got = auto.transmit([0])
+                want = reference.transmit_reference([0])
                 _assert_rounds_equal(got, want, f"seed {seed}")
 
     def test_forced_kernels_validate(self):
@@ -107,6 +104,104 @@ class TestKernelEquivalence:
             kernel="vectorized",
         )
         assert sim.channel.kernel == "vectorized"
+
+
+def _run_both(network, rounds, faults=FaultConfig.receiver(0.3), seed=5):
+    """Run the same broadcaster lists through a vectorized-kernel and a
+    reference channel; assert every round and the counters agree."""
+    vectorized = Channel(network, faults, rng=seed, kernel="vectorized")
+    reference = Channel(network, faults, rng=seed)
+    results = []
+    for broadcasters in rounds:
+        got = vectorized.transmit(broadcasters)
+        want = reference.transmit_reference(broadcasters)
+        _assert_rounds_equal(got, want, f"{network.name} {broadcasters[:4]}")
+        results.append(got)
+    assert vectorized.counters.as_dict() == reference.counters.as_dict()
+    return results, vectorized.counters
+
+
+FAULTS = {
+    "faultless": FaultConfig.faultless(),
+    "sender": FaultConfig.sender(0.4),
+    "receiver": FaultConfig.receiver(0.4),
+}
+
+
+class TestKernelLimits:
+    """Inputs at the edges of the vectorized kernel's gather paths."""
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "network",
+        [basic.grid(8, 8), basic.path(40), random_graphs.gnp(50, 0.1, rng=3)],
+        ids=["grid", "path", "gnp"],
+    )
+    def test_every_node_broadcasting(self, network, faults):
+        everyone = list(range(network.n))
+        results, counters = _run_both(network, [everyone] * 3, FAULTS[faults])
+        for result in results:
+            assert result.receivers == [] and result.senders == []
+            assert result.collision_receivers == []
+            assert result.noise_receivers == []
+        assert counters.broadcasts == 3 * network.n
+        assert counters.deliveries == counters.collisions == 0
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    def test_empty_rounds_draw_nothing(self, faults):
+        network = basic.grid(6, 6)
+        rounds = [[], list(range(0, 36, 5)), [], [], list(range(1, 36, 3)), []]
+        results, counters = _run_both(network, rounds, FAULTS[faults])
+        for index in (0, 2, 3, 5):
+            assert results[index] == RoundResult(index)
+        assert counters.rounds == len(rounds)
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    def test_single_node_network(self, faults):
+        network = RadioNetwork(nx.empty_graph(1))
+        assert network.padded_neighbors().shape == (1, 0)
+        results, counters = _run_both(network, [[0], [], [0]], FAULTS[faults])
+        assert all(r.receivers == [] for r in results)
+        assert counters.as_dict() == {
+            "rounds": 3,
+            "broadcasts": 2,
+            "deliveries": 0,
+            "collisions": 0,
+            "sender_faults": counters.sender_faults,
+            "receiver_faults": 0,
+        }
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    def test_large_star_leaves_broadcasting(self, faults):
+        """A skewed star gets no padded table: the CSR gather resolves it."""
+        network = basic.star(800)
+        assert network.padded_neighbors() is None
+        hub = network.source
+        leaves = [v for v in network.nodes() if v != hub]
+        rounds = [leaves, leaves[:1], leaves[::2], [hub], leaves[-1:]]
+        results, _ = _run_both(network, rounds, FAULTS[faults])
+        everyone, one, half, hub_only, last = results
+        assert everyone.collision_receivers == [hub]
+        assert half.collision_receivers == [hub]
+        if faults == "faultless":
+            assert (one.receivers, one.senders) == ([hub], leaves[:1])
+            assert (last.receivers, last.senders) == ([hub], leaves[-1:])
+            assert hub_only.receivers == leaves
+            assert hub_only.senders == [hub] * len(leaves)
+
+    def test_auto_kernel_matches_reference_on_both_sides_of_threshold(self):
+        network = basic.grid(10, 10)
+        threshold = Channel.VECTORIZE_MIN_WORK
+        few = list(range(threshold // network.max_degree - 1))
+        many = list(range(0, 100, 2))
+        for broadcasters in (few, many):
+            auto = Channel(network, FaultConfig.receiver(0.3), rng=1)
+            reference = Channel(network, FaultConfig.receiver(0.3), rng=1)
+            _assert_rounds_equal(
+                auto.transmit(broadcasters),
+                reference.transmit_reference(broadcasters),
+                f"{len(broadcasters)} broadcasters",
+            )
 
 
 class _NullProtocol:
@@ -131,6 +226,22 @@ class TestCSRAdjacency:
             for v in network.nodes():
                 start, stop = int(network.indptr[v]), int(network.indptr[v + 1])
                 assert tuple(network.indices[start:stop]) == network.neighbors[v]
+
+    def test_padded_table_matches_neighbor_lists(self):
+        for network in (
+            random_graphs.gnp(40, 0.15, rng=2),
+            basic.grid(5, 7),
+            basic.path(9),
+        ):
+            table = network.padded_neighbors()
+            assert table.shape == (network.n, network.max_degree)
+            assert network.padded_neighbors() is table  # cached
+            for v in network.nodes():
+                row = [u for u in table[v].tolist() if u != network.n]
+                assert tuple(row) == network.neighbors[v]
+
+    def test_skewed_degrees_get_no_padded_table(self):
+        assert basic.star(50).padded_neighbors() is None
 
     def test_csr_single_node(self):
         network = RadioNetwork(nx.empty_graph(1))

@@ -28,56 +28,114 @@ class TestCollisionSemantics:
 
     def test_single_broadcaster_delivers_to_all_neighbors(self):
         channel = Channel(star(4))
-        result = channel.transmit({0: MSG})
-        receivers = sorted(d.receiver for d in result.deliveries)
-        assert receivers == [1, 2, 3, 4]
-        assert all(d.sender == 0 and d.packet is MSG for d in result.deliveries)
+        result = channel.transmit([0])
+        assert result.receivers == [1, 2, 3, 4]
+        assert result.senders == [0, 0, 0, 0]
 
     def test_two_broadcasters_collide_at_common_neighbor(self):
         # path 0-1-2: both endpoints send; middle hears 2 -> collision
         channel = Channel(path(3))
-        result = channel.transmit({0: MSG, 2: MessagePacket(1)})
-        assert result.deliveries == []
+        result = channel.transmit([0, 2])
+        assert result.receivers == []
         assert result.collision_receivers == [1]
 
     def test_broadcaster_does_not_receive(self):
         # path 0-1: both broadcast; neither receives
         channel = Channel(path(2))
-        result = channel.transmit({0: MSG, 1: MSG})
-        assert result.deliveries == []
+        result = channel.transmit([0, 1])
+        assert result.receivers == []
         assert result.collision_receivers == []
 
     def test_no_broadcasters_nothing_happens(self):
         channel = Channel(path(3))
-        result = channel.transmit({})
-        assert result.deliveries == []
+        result = channel.transmit([])
+        assert result.receivers == []
         assert channel.counters.rounds == 1
 
     def test_non_neighbor_does_not_receive(self):
         channel = Channel(path(4))
-        result = channel.transmit({0: MSG})
-        assert [d.receiver for d in result.deliveries] == [1]
+        result = channel.transmit([0])
+        assert result.receivers == [1]
 
     def test_two_disjoint_broadcasts_both_deliver(self):
         # path 0-1-2-3: 0 and 3 send; 1 and 2 each hear exactly one
         channel = Channel(path(4))
-        result = channel.transmit({0: MSG, 3: MessagePacket(1)})
-        got = {d.receiver: d.sender for d in result.deliveries}
-        assert got == {1: 0, 2: 3}
+        result = channel.transmit([0, 3])
+        assert result.receivers == [1, 2]
+        assert result.senders == [0, 3]
 
     def test_round_counter_advances(self):
         channel = Channel(path(2))
         for expected in range(3):
             assert channel.round_index == expected
-            channel.transmit({})
+            channel.transmit([])
+
+
+#: broadcaster-id lists the channel must reject, by failure kind
+BAD_IDS = {
+    "non-int": ["a"],
+    "float": [0, 1.5],
+    "none": [None, 2],
+    "negative": [-1, 2],
+    "too-large": [0, 4],
+    "duplicate": [1, 1],
+    "descending": [2, 0],
+}
+
+#: every round entry point, in both resolution kernels
+ENTRY_POINTS = {
+    "channel-vectorized": lambda net: Channel(net, kernel="vectorized").transmit,
+    "channel-scalar": lambda net: Channel(net, kernel="scalar").transmit,
+    "channel-reference": lambda net: Channel(net).transmit_reference,
+    "contention-vectorized": lambda net: ContentionChannel(
+        net, kernel="vectorized"
+    ).transmit,
+    "contention-scalar": lambda net: ContentionChannel(
+        net, kernel="scalar"
+    ).transmit,
+    "contention-reference": lambda net: ContentionChannel(
+        net
+    ).transmit_reference,
+}
+
+
+class TestBroadcasterIds:
+    """Round input is ascending ints in [0, n); anything else is rejected
+    before the round touches any state."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", sorted(BAD_IDS))
+    def test_invalid_ids_rejected(self, entry, case):
+        transmit = ENTRY_POINTS[entry](path(4))
+        with pytest.raises(SimulationError):
+            transmit(BAD_IDS[case])
+        channel = transmit.__self__
+        assert channel.round_index == 0
+        assert channel.counters.rounds == 0
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_out_of_range_names_the_node(self, entry):
+        transmit = ENTRY_POINTS[entry](path(4))
+        with pytest.raises(SimulationError, match="invalid node 7"):
+            transmit([1, 7])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_tuples_and_integer_arrays_are_accepted(self, entry):
+        import numpy as np
+
+        want = ENTRY_POINTS[entry](path(4))([0, 3])
+        for ids in ((0, 3), np.array([0, 3]), np.array([0, 3], dtype=np.int32)):
+            got = ENTRY_POINTS[entry](path(4))(ids)
+            assert (got.receivers, got.senders) == (want.receivers, want.senders)
+            assert all(type(v) is int for v in got.receivers + got.senders)
 
 
 class TestSenderFaults:
     def test_faulty_sender_silences_all_receivers(self):
         # p close to 1: every transmission is noise
         channel = Channel(star(5), FaultConfig.sender(0.999999), rng=1)
-        result = channel.transmit({0: MSG})
-        assert result.deliveries == []
+        result = channel.transmit([0])
+        assert result.receivers == []
         assert result.faulty_senders == [0]
         assert sorted(result.noise_receivers) == [1, 2, 3, 4, 5]
 
@@ -86,8 +144,8 @@ class TestSenderFaults:
         delivers to all listening singleton neighbors."""
         channel = Channel(star(6), FaultConfig.sender(0.5), rng=7)
         for _ in range(50):
-            result = channel.transmit({0: MSG})
-            n_delivered = len(result.deliveries)
+            result = channel.transmit([0])
+            n_delivered = len(result.receivers)
             assert n_delivered in (0, 6)
 
     def test_empirical_sender_fault_rate(self):
@@ -95,14 +153,14 @@ class TestSenderFaults:
         failures = 0
         trials = 4000
         for _ in range(trials):
-            result = channel.transmit({0: MSG})
-            failures += not result.deliveries
+            result = channel.transmit([0])
+            failures += not result.receivers
         assert 0.26 < failures / trials < 0.34
 
     def test_faultless_config_never_faults(self):
         channel = Channel(path(2), FaultConfig.faultless(), rng=3)
         for _ in range(200):
-            assert len(channel.transmit({0: MSG}).deliveries) == 1
+            assert len(channel.transmit([0]).receivers) == 1
 
 
 class TestReceiverFaults:
@@ -111,8 +169,8 @@ class TestReceiverFaults:
         channel = Channel(star(6), FaultConfig.receiver(0.5), rng=5)
         saw_partial = False
         for _ in range(100):
-            result = channel.transmit({0: MSG})
-            if 0 < len(result.deliveries) < 6:
+            result = channel.transmit([0])
+            if 0 < len(result.receivers) < 6:
                 saw_partial = True
                 break
         assert saw_partial
@@ -122,7 +180,7 @@ class TestReceiverFaults:
         received = 0
         trials = 4000
         for _ in range(trials):
-            received += bool(channel.transmit({0: MSG}).deliveries)
+            received += bool(channel.transmit([0]).receivers)
         assert 0.66 < received / trials < 0.74
 
     def test_receiver_fault_not_applied_on_collision(self):
@@ -130,7 +188,7 @@ class TestReceiverFaults:
         double-count them."""
         channel = Channel(path(3), FaultConfig.receiver(0.9), rng=2)
         for _ in range(100):
-            channel.transmit({0: MSG, 2: MSG})
+            channel.transmit([0, 2])
         assert channel.counters.receiver_faults == 0
         assert channel.counters.collisions == 100
 
@@ -138,8 +196,8 @@ class TestReceiverFaults:
 class TestCounters:
     def test_counts_accumulate(self):
         channel = Channel(path(3))
-        channel.transmit({0: MSG})
-        channel.transmit({0: MSG, 2: MSG})
+        channel.transmit([0])
+        channel.transmit([0, 2])
         c = channel.counters
         assert c.rounds == 2
         assert c.broadcasts == 3
@@ -148,7 +206,7 @@ class TestCounters:
 
     def test_as_dict(self):
         channel = Channel(path(2))
-        channel.transmit({0: MSG})
+        channel.transmit([0])
         d = channel.counters.as_dict()
         assert d["rounds"] == 1 and d["deliveries"] == 1
 

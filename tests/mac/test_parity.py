@@ -10,12 +10,13 @@ identical RNG stream (bulk draws, ascending node order).
 
 import random
 
+import networkx as nx
+import pytest
+
 from repro.core.faults import AdversaryConfig, FaultConfig
-from repro.core.packets import MessagePacket
+from repro.core.network import RadioNetwork
 from repro.mac import ContentionChannel, MacConfig
 from repro.topologies import basic, random_graphs
-
-PACKET = MessagePacket(0)
 
 
 def _sample_network(sampler, config_index):
@@ -69,7 +70,8 @@ def _sample_noise(sampler):
 
 def _assert_rounds_equal(a, b, context):
     assert a.round_index == b.round_index, context
-    assert a.deliveries == b.deliveries, context
+    assert a.receivers == b.receivers, context
+    assert a.senders == b.senders, context
     assert a.noise_receivers == b.noise_receivers, context
     assert a.collision_receivers == b.collision_receivers, context
     assert a.faulty_senders == b.faulty_senders, context
@@ -106,12 +108,10 @@ class TestMacKernelEquivalence:
             )
             for _ in range(10):
                 count = sampler.randint(0, network.n)
-                actions = {
-                    v: PACKET for v in sampler.sample(range(network.n), count)
-                }
+                offers = sorted(sampler.sample(range(network.n), count))
                 _assert_rounds_equal(
-                    vectorized.transmit(actions),
-                    reference.transmit_reference(actions),
+                    vectorized.transmit(offers),
+                    reference.transmit_reference(offers),
                     context,
                 )
             assert (
@@ -132,11 +132,12 @@ class TestMacKernelEquivalence:
             transcript = []
             for _ in range(30):
                 count = sampler.randint(0, 25)
-                actions = {v: PACKET for v in sampler.sample(range(25), count)}
-                result = channel.transmit(actions)
+                offers = sorted(sampler.sample(range(25), count))
+                result = channel.transmit(offers)
                 transcript.append(
                     (
-                        tuple(result.deliveries),
+                        tuple(result.receivers),
+                        tuple(result.senders),
                         tuple(result.collision_receivers),
                         tuple(result.noise_receivers),
                         tuple(result.faulty_senders),
@@ -145,3 +146,57 @@ class TestMacKernelEquivalence:
             return transcript, channel.counters.as_dict()
 
         assert one_run() == one_run()
+
+
+def _run_both(network, rounds, config, faults=FaultConfig.receiver(0.3)):
+    vectorized = ContentionChannel(
+        network, faults, rng=3, kernel="vectorized", config=config
+    )
+    reference = ContentionChannel(network, faults, rng=3, config=config)
+    for offers in rounds:
+        _assert_rounds_equal(
+            vectorized.transmit(offers),
+            reference.transmit_reference(offers),
+            f"{network.name} {offers[:4]}",
+        )
+    assert vectorized.counters.as_dict() == reference.counters.as_dict()
+    assert (vectorized._backoff == reference._backoff).all()
+    return vectorized.counters
+
+
+CONFIGS = {
+    "plain": MacConfig(cw_min=1, cw_max=4, sense=False),
+    "sensing": MacConfig(cw_min=2, cw_max=8),
+    "capture": MacConfig(cw_min=1, cw_max=2, sense=False, capture=1.0),
+}
+
+
+class TestMacKernelLimits:
+    """The MAC pipeline at the vectorized kernel's input limits."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_everyone_offering(self, config):
+        network = basic.grid(6, 6)
+        counters = _run_both(network, [list(range(36))] * 6, CONFIGS[config])
+        assert counters.mac_offers == 6 * 36
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_empty_slots(self, config):
+        network = basic.path(12)
+        rounds = [[], [0, 5, 11], [], [], [1, 2, 3], []]
+        counters = _run_both(network, rounds, CONFIGS[config])
+        assert counters.rounds == len(rounds)
+        assert counters.mac_offers == 6
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_single_node_network(self, config):
+        network = RadioNetwork(nx.empty_graph(1))
+        counters = _run_both(network, [[0], [], [0], [0]], CONFIGS[config])
+        assert counters.deliveries == 0
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_large_star_leaves_offering(self, config):
+        network = basic.star(800)
+        leaves = list(range(1, 801))
+        rounds = [leaves, leaves[:1], leaves[::3], [0], leaves[-2:]]
+        _run_both(network, rounds, CONFIGS[config])

@@ -28,13 +28,12 @@ class TestChannelValidation:
     def test_invalid_broadcaster_rejected(self):
         from repro import Channel, FaultConfig, path
         from repro.core.errors import SimulationError
-        from repro.core.packets import MessagePacket
 
         channel = Channel(path(3), FaultConfig.faultless(), rng=0)
         with pytest.raises(SimulationError):
-            channel.transmit({99: MessagePacket(0)})
+            channel.transmit([99])
         with pytest.raises(SimulationError):
-            channel.transmit({"a": MessagePacket(0)})  # type: ignore[dict-item]
+            channel.transmit(["a"])  # type: ignore[list-item]
 
 
 class TestProtocolContract:

@@ -8,25 +8,15 @@ from repro.timeline import NULL_TIMELINE, TimelineConfig, TimelineRecorder
 from repro.timeline.recorder import DATA_COLUMNS
 
 
-class _Delivery:
-    """The recorder only reads ``.receiver``."""
-
-    def __init__(self, receiver: int) -> None:
-        self.receiver = receiver
-
-
 def _drive(recorder, rounds, deliveries_per_round=0, n=8):
     """Feed synthetic rounds: one broadcast + optional deliveries each."""
     counters = ChannelCounters()
     for round_index in range(rounds):
         counters.rounds += 1
         counters.broadcasts += 1
-        deliveries = [
-            _Delivery((round_index + k) % n)
-            for k in range(deliveries_per_round)
-        ]
-        counters.deliveries += len(deliveries)
-        recorder.on_round(round_index, counters, deliveries)
+        receivers = [(round_index + k) % n for k in range(deliveries_per_round)]
+        counters.deliveries += len(receivers)
+        recorder.on_round(round_index, counters, receivers)
     recorder.finish()
 
 
@@ -84,7 +74,7 @@ class TestBucketing:
         counters.rounds += 1
         counters.broadcasts += 1
         counters.deliveries += 2
-        recorder.on_round(0, counters, [_Delivery(0), _Delivery(5)])
+        recorder.on_round(0, counters, [0, 5])
         recorder.finish()
         row = recorder.rows()[0]
         assert row[DATA_COLUMNS.index("new_informed")] == 1  # node 5 only
