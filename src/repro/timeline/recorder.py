@@ -43,6 +43,7 @@ DATA_COLUMNS = (
 )
 
 _NCOL = len(DATA_COLUMNS)
+_ZERO_SNAPSHOT = (0, 0, 0, 0, 0)
 _INITIAL_CAPACITY = 256
 
 
@@ -79,8 +80,8 @@ class TimelineRecorder:
     config:
         Downsampling policy (bucket width, per-node detail cap).
 
-    Per-round column values are computed as deltas of the channel's
-    :class:`~repro.core.trace.ChannelCounters` snapshot — the counters are
+    Bucket column values are differences of two snapshots of the channel's
+    :class:`~repro.core.trace.ChannelCounters` — the counters are
     maintained identically by the vectorized and scalar kernels, so a
     timeline is kernel-independent by construction (the test suite checks
     this byte-for-byte). New-delivery detection is a bulk numpy mask over
@@ -105,20 +106,15 @@ class TimelineRecorder:
         self._first_pending = n
         self._rows = np.zeros((_INITIAL_CAPACITY, _NCOL), dtype=np.int64)
         self._len = 0
-        # previous ChannelCounters snapshot (per-round deltas)
-        self._p_broadcasts = 0
-        self._p_deliveries = 0
-        self._p_collisions = 0
-        self._p_sender_faults = 0
-        self._p_receiver_faults = 0
-        # open-bucket accumulators
+        # ChannelCounters snapshots (broadcasts, deliveries, collisions,
+        # sender_faults, receiver_faults): after the latest round, and
+        # before the open bucket's first round; a bucket's sums are the
+        # difference of the two when it is flushed
+        self._last = _ZERO_SNAPSHOT
+        self._b_start = _ZERO_SNAPSHOT
+        # open bucket
         self._b_open = False
         self._b_index = -1
-        self._b_broadcasts = 0
-        self._b_deliveries = 0
-        self._b_collisions = 0
-        self._b_sender_faults = 0
-        self._b_receiver_faults = 0
         self._b_new_informed = 0
         self._b_innovative = 0
         self._finished = False
@@ -143,25 +139,20 @@ class TimelineRecorder:
     ) -> None:
         """Absorb one resolved channel round (the ``_run_round`` epilogue)."""
         bucket = round_index // self.every
-        if self._b_open and bucket != self._b_index:
-            self._flush()
-        if not self._b_open:
+        if bucket != self._b_index or not self._b_open:
+            if self._b_open:
+                self._flush()
             self._b_open = True
             self._b_index = bucket
+            self._b_start = self._last
         self.rounds += 1
-
-        self._b_broadcasts += counters.broadcasts - self._p_broadcasts
-        self._b_deliveries += counters.deliveries - self._p_deliveries
-        self._b_collisions += counters.collisions - self._p_collisions
-        self._b_sender_faults += counters.sender_faults - self._p_sender_faults
-        self._b_receiver_faults += (
-            counters.receiver_faults - self._p_receiver_faults
+        self._last = (
+            counters.broadcasts,
+            counters.deliveries,
+            counters.collisions,
+            counters.sender_faults,
+            counters.receiver_faults,
         )
-        self._p_broadcasts = counters.broadcasts
-        self._p_deliveries = counters.deliveries
-        self._p_collisions = counters.collisions
-        self._p_sender_faults = counters.sender_faults
-        self._p_receiver_faults = counters.receiver_faults
 
         if len(receivers) and (self._first_pending or self.informed < self.n):
             receivers = np.asarray(receivers, dtype=np.int64)
@@ -190,24 +181,21 @@ class TimelineRecorder:
             grown = np.zeros((2 * len(self._rows), _NCOL), dtype=np.int64)
             grown[: self._len] = self._rows
             self._rows = grown
+        end = self._last
+        start = self._b_start
         self._rows[self._len] = (
             self._b_index * self.every,
-            self._b_broadcasts,
-            self._b_deliveries,
-            self._b_collisions,
-            self._b_sender_faults,
-            self._b_receiver_faults,
+            end[0] - start[0],
+            end[1] - start[1],
+            end[2] - start[2],
+            end[3] - start[3],
+            end[4] - start[4],
             self._b_new_informed,
             self.informed,
             self._b_innovative,
         )
         self._len += 1
         self._b_open = False
-        self._b_broadcasts = 0
-        self._b_deliveries = 0
-        self._b_collisions = 0
-        self._b_sender_faults = 0
-        self._b_receiver_faults = 0
         self._b_new_informed = 0
         self._b_innovative = 0
 
