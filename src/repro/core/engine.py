@@ -223,8 +223,8 @@ class Channel:
 
     # -- kernel internals ---------------------------------------------------
 
-    def _id_list(self, broadcasters: Sequence[int]) -> list[int]:
-        """Validate broadcaster ids one by one; return them as a list."""
+    def _id_list(self, broadcasters: Sequence[int]) -> Sequence[int]:
+        """Validate broadcaster ids one by one; return them as Python ints."""
         if isinstance(broadcasters, np.ndarray):
             broadcasters = broadcasters.tolist()
         n = self.network.n

@@ -160,7 +160,8 @@ class ContentionChannel(Channel):
 
     def transmit(self, broadcasters) -> RoundResult:
         """Resolve one MAC slot given the ascending ids of the offerers."""
-        contenders = self._id_array(broadcasters)
+        # MAC offer sets are small: the per-id check beats the bulk one
+        contenders = np.array(self._id_list(broadcasters), dtype=np.int64)
         tx, defers = self._gate_vectorized(contenders)
         if self.kernel == "scalar" or (
             self.kernel == "auto"
