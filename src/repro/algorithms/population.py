@@ -14,8 +14,8 @@ protocol object per node, :class:`SingleMessagePopulation` keeps columns:
   even-round slot of the schedule.
 
 One :meth:`~SingleMessagePopulation.broadcasters` call computes a
-round's broadcasters; one :meth:`~SingleMessagePopulation.deliver` call updates
-the columns. The informed list's length is the stop predicate.
+round's broadcasters; one :meth:`~SingleMessagePopulation.deliver` call
+updates the columns. The informed list's length is the stop predicate.
 
 The population is outcome-identical to the per-node reference classes
 (:class:`~repro.algorithms.decay.DecayProtocol` and friends) run through

@@ -185,9 +185,9 @@ class Channel:
         self._hear_count = [0] * n
         self._hear_from = [0] * n
         self._touched: list[int] = []
-        # vectorized kernel: sender scratch, built on first use; slot n
-        # is the padding sink of the network's padded neighbor table
-        self._sender_of: Optional[np.ndarray] = None
+        # vectorized kernel scratch: each listener's last-heard sender;
+        # slot n is the padding sink of the network's padded table
+        self._sender_of = np.zeros(n + 1, dtype=np.int64)
 
     def transmit(self, broadcasters: Sequence[int]) -> RoundResult:
         """Resolve one round given the ascending broadcaster ids.
@@ -336,14 +336,6 @@ class Channel:
                 senders = senders[alive]
         return heard, senders
 
-    def _sender_scratch(self) -> np.ndarray:
-        sender_of = self._sender_of
-        if sender_of is None:
-            sender_of = self._sender_of = np.zeros(
-                self.network.n + 1, dtype=np.int64
-            )
-        return sender_of
-
     def _resolve_vectorized(self, bs: np.ndarray, result: RoundResult) -> None:
         """Array kernel over the network's adjacency.
 
@@ -377,10 +369,7 @@ class Channel:
             counters.collisions += int(collided.size)
             result.collision_receivers = collided.tolist()
         unique = (hear_count == 1).nonzero()[0]
-        if not unique.size:
-            adversary.receiver_mask(unique, unique)
-            return
-        sender_of = self._sender_scratch()
+        sender_of = self._sender_of
         sender_of[heard] = senders  # only read where hear_count == 1
         unique_senders = sender_of[unique]
 

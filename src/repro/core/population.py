@@ -3,9 +3,9 @@
 A population answers three questions per round: who broadcasts
 (:meth:`Population.broadcasters`), what the channel's receptions change
 (:meth:`Population.deliver`), and whether the run is finished
-(:meth:`Population.all_done`). The channel only sees node ids: what a
-broadcaster sends is the population's own business. The simulator makes one call of each per
-round, whatever the population's internal layout.
+(:meth:`Population.all_done`). The simulator makes one call of each per
+round, whatever the population's internal layout. The channel only sees
+node ids: what a broadcaster sends is the population's own business.
 
 Two layouts exist:
 
