@@ -11,8 +11,8 @@ Two layers:
   (:mod:`repro.schedules`) are built on it.
 * :class:`Simulator` — drives a node
   :class:`~repro.core.population.Population` against a channel, one
-  ``broadcasters``/``deliver`` call per round, until a stop predicate fires or a
-  round budget is exhausted.
+  ``broadcasters``/``deliver`` call per round, until a stop predicate
+  fires or a round budget is exhausted.
 """
 
 from __future__ import annotations
@@ -199,11 +199,7 @@ class Channel:
         round counter. Raises :class:`SimulationError` unless the ids are
         ints in ``[0, n)``, strictly ascending.
         """
-        kernel = self.kernel
-        if kernel == "scalar" or (
-            kernel == "auto"
-            and len(broadcasters) * self._max_degree < self.VECTORIZE_MIN_WORK
-        ):
+        if self._scalar_kernel_for(len(broadcasters)):
             return self._run_round(
                 self._id_list(broadcasters), self._resolve_scalar
             )
@@ -222,6 +218,15 @@ class Channel:
         return self._run_round(self._id_list(broadcasters), self._resolve_scalar)
 
     # -- kernel internals ---------------------------------------------------
+
+    def _scalar_kernel_for(self, count: int) -> bool:
+        """Kernel dispatch for ``count`` broadcasters: honor ``self.kernel``,
+        else compare the gather-work bound with the threshold."""
+        kernel = self.kernel
+        return kernel == "scalar" or (
+            kernel == "auto"
+            and count * self._max_degree < self.VECTORIZE_MIN_WORK
+        )
 
     def _id_list(self, broadcasters: Sequence[int]) -> Sequence[int]:
         """Validate broadcaster ids one by one; return them as Python ints."""

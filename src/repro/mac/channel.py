@@ -163,10 +163,7 @@ class ContentionChannel(Channel):
         # MAC offer sets are small: the per-id check beats the bulk one
         contenders = np.array(self._id_list(broadcasters), dtype=np.int64)
         tx, defers = self._gate_vectorized(contenders)
-        if self.kernel == "scalar" or (
-            self.kernel == "auto"
-            and tx.size * self._max_degree < self.VECTORIZE_MIN_WORK
-        ):
+        if self._scalar_kernel_for(tx.size):
             tx_ids, resolver = tx.tolist(), self._resolve_scalar
         else:
             tx_ids, resolver = tx, self._resolve_vectorized
