@@ -35,9 +35,6 @@ from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = ["Channel", "RoundResult", "Simulator"]
 
-#: the validated form of an empty round
-_NO_IDS = np.zeros(0, dtype=np.int64)
-
 # channel hot-seam metrics: registered once at import, bulk-incremented
 # per round behind the single _METRICS.enabled attribute read
 _M_ROUNDS = _METRICS.counter(
@@ -261,7 +258,7 @@ class Channel:
     def _id_array(self, broadcasters: Sequence[int]) -> np.ndarray:
         """Validate broadcaster ids in bulk; return them as an int64 array."""
         if not len(broadcasters):
-            return _NO_IDS
+            return np.zeros(0, dtype=np.int64)
         bs = np.asarray(broadcasters)
         if (
             bs.dtype.kind not in "iu"
