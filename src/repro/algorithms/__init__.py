@@ -5,12 +5,12 @@ Single-message algorithms (Section 4.1) run as one column population
 by one call per round; their per-node
 :class:`~repro.core.protocol.NodeProtocol` subclasses stay as the
 reference it is checked against. Multi-message algorithms (Section 4.2,
-Section 5) live in :mod:`repro.algorithms.multi`.
+Section 5) live in :mod:`repro.algorithms.multi`; its RLNC gossip runs
+on the same population's schedule.
 """
 
 from repro.algorithms.base import (
     BroadcastOutcome,
-    broadcast_probe,
     ilog2,
     run_broadcast,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "FastBCProtocol",
     "RepeatedFastBCProtocol",
     "RobustFastBCProtocol",
-    "broadcast_probe",
     "decay_broadcast",
     "fastbc_broadcast",
     "ilog2",

@@ -1,12 +1,17 @@
-"""Shared scaffolding for single-message broadcast algorithms.
+"""Shared scaffolding for the broadcast algorithms that run on the channel.
 
 Every single-message algorithm in this package is packaged the same way: a
 per-node protocol class (the reference), a ``<name>_population`` builder
 for the equivalent column population
 (:class:`~repro.algorithms.population.SingleMessagePopulation`), and a
-``<name>_broadcast`` convenience function that runs the population until
-all nodes are informed (or the round budget runs out) and returns a
-:class:`BroadcastOutcome`.
+``<name>_broadcast`` entry point that runs the population until all nodes
+are done (or the round budget runs out) and returns a
+:class:`BroadcastOutcome`. The RLNC entry points of
+:mod:`repro.algorithms.multi.rlnc_broadcast` run a subclass of the same
+population and return the same outcome type with ``k`` set.
+
+Every entry point opens with :func:`prepare_run`; only its round-budget
+formula (the lemma it plans for) is its own.
 """
 
 from __future__ import annotations
@@ -27,12 +32,10 @@ from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
     "BroadcastOutcome",
-    "run_broadcast",
-    "broadcast_probe",
-    "effective_loss_rate",
-    "as_adversary",
     "channel_slowdown",
     "ilog2",
+    "prepare_run",
+    "run_broadcast",
 ]
 
 
@@ -45,10 +48,13 @@ def ilog2(n: int) -> int:
 
 @dataclass(frozen=True)
 class BroadcastOutcome:
-    """Result of one single-message broadcast run.
+    """Result of one broadcast run.
 
-    ``rounds`` is the number of rounds until the last node became informed
+    ``rounds`` is the number of rounds until the last node was done
     (== ``budget`` when the run timed out and ``success`` is False).
+    ``informed`` counts the done nodes: informed for one message, able to
+    decode all ``k`` for a multi-message run. ``k`` is None for a
+    single-message run.
     """
 
     success: bool
@@ -56,10 +62,15 @@ class BroadcastOutcome:
     informed: int
     total: int
     counters: ChannelCounters
+    k: Optional[int] = None
 
     @property
     def informed_fraction(self) -> float:
         return self.informed / self.total
+
+    @property
+    def rounds_per_message(self) -> float:
+        return self.rounds / (self.k or 1)
 
 
 def channel_slowdown(channel) -> float:
@@ -71,6 +82,36 @@ def channel_slowdown(channel) -> float:
     channel's :meth:`~repro.mac.config.MacConfig.planning_slowdown`.
     """
     return 1.0 if channel is None else channel.planning_slowdown()
+
+
+def prepare_run(
+    network: RadioNetwork,
+    faults: FaultConfig,
+    rng: "int | RandomSource | None",
+    adversary: "Adversary | AdversaryConfig | None",
+    channel,
+    max_rounds: Optional[int],
+    budget: Callable[[int, int, float], int],
+) -> tuple[Optional[Adversary], RandomSource, int]:
+    """The preamble every ``*_broadcast`` entry point shares.
+
+    Returns the adversary as an instance (or None), the run's root
+    :class:`~repro.util.rng.RandomSource`, and the round budget. A
+    ``max_rounds`` of None becomes ``budget(log_n, depth, slowdown)``:
+    ``log_n = ilog2(n) + 1``, ``depth`` the source eccentricity (at least
+    1), and ``slowdown`` the ``1/(1-p)`` of the loss rate the budget plans
+    for (see :func:`~repro.adversary.base.effective_loss_rate`) times the
+    :func:`channel_slowdown`.
+    """
+    adversary = as_adversary(adversary)
+    source = spawn_rng(rng)
+    if max_rounds is None:
+        log_n = ilog2(network.n) + 1
+        depth = max(1, network.source_eccentricity)
+        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
+        slowdown *= channel_slowdown(channel)
+        max_rounds = budget(log_n, depth, slowdown)
+    return adversary, source, max_rounds
 
 
 def run_broadcast(
@@ -94,19 +135,3 @@ def run_broadcast(
         total=network.n,
         counters=sim.counters,
     )
-
-
-def broadcast_probe(
-    make_outcome: Callable[[int], BroadcastOutcome],
-    trials: int,
-    rng: "int | RandomSource | None" = None,
-) -> list[BroadcastOutcome]:
-    """Run ``make_outcome(seed)`` for ``trials`` independent seeds.
-
-    The per-trial seeds derive from ``rng`` so a whole sweep reproduces
-    from one top-level seed.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    source = spawn_rng(rng)
-    return [make_outcome(source.spawn().seed) for _ in range(trials)]

@@ -16,10 +16,8 @@ from typing import Optional
 
 from repro.algorithms.base import (
     BroadcastOutcome,
-    as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
     ilog2,
+    prepare_run,
     run_broadcast,
 )
 from repro.algorithms.population import SingleMessagePopulation
@@ -28,7 +26,7 @@ from repro.core.network import RadioNetwork
 from repro.core.errors import ProtocolError
 from repro.core.packets import MessagePacket, Packet
 from repro.core.protocol import NodeProtocol
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = ["DecayProtocol", "decay_broadcast", "decay_population"]
 
@@ -106,15 +104,11 @@ def decay_broadcast(
     its nominal loss rate); ``channel`` swaps the always-deliver medium
     for a contention MAC (budgets stretch by its planning slowdown).
     """
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = int(40 * slowdown * log_n * (depth + log_n)) + 100
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds,
+        lambda log_n, depth, slowdown:
+            int(40 * slowdown * log_n * (depth + log_n)) + 100,
+    )
     return run_broadcast(
         network,
         decay_population(network, source),

@@ -19,10 +19,8 @@ from typing import Optional
 
 from repro.algorithms.base import (
     BroadcastOutcome,
-    as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
     ilog2,
+    prepare_run,
     run_broadcast,
 )
 from repro.algorithms.decay import DecayProtocol
@@ -32,7 +30,7 @@ from repro.core.network import RadioNetwork
 from repro.core.packets import MessagePacket, Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = [
     "FastBCProtocol",
@@ -196,19 +194,16 @@ def fastbc_broadcast(
     Lemma 10 — under faults FASTBC legitimately needs ``Θ(D log n)``
     rounds, and the experiments measure exactly that degradation.
     """
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = int(60 * slowdown * log_n * (depth + log_n)) + 100
-        if not decay_interleave:
-            # pure-wave mode pays the full Theta(log n) wave period per
-            # failure with no Decay assist
-            max_rounds *= 4
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        rounds = int(60 * slowdown * log_n * (depth + log_n)) + 100
+        # pure-wave mode pays the full Theta(log n) wave period per
+        # failure with no Decay assist
+        return rounds if decay_interleave else 4 * rounds
+
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds, budget
+    )
     population = fastbc_population(
         network, source, tree=tree, decay_interleave=decay_interleave
     )

@@ -1,7 +1,7 @@
 """Multi-message broadcast algorithms and schedules (Sections 4.2 and 5).
 
-* :mod:`~repro.algorithms.multi.rlnc_broadcast` — RLNC gossip with Decay or
-  Robust-FASTBC broadcast patterns (Lemmas 12-13).
+* :mod:`~repro.algorithms.multi.rlnc_broadcast` — RLNC gossip on the Decay
+  or Robust-FASTBC single-message schedule (Lemmas 12-13).
 * :mod:`~repro.algorithms.multi.star` — the Lemma 15 adaptive routing and
   Lemma 16 Reed-Solomon coding schedules on the star.
 * :mod:`~repro.algorithms.multi.single_link` — Appendix A's single-link
@@ -17,7 +17,7 @@ from repro.algorithms.multi.pipelined import (
     pipelined_routing_broadcast,
 )
 from repro.algorithms.multi.rlnc_broadcast import (
-    MultiMessageOutcome,
+    RLNCPopulation,
     rlnc_decay_broadcast,
     rlnc_dense_wave_broadcast,
     rlnc_robust_fastbc_broadcast,
@@ -35,7 +35,7 @@ from repro.algorithms.multi.star import (
 from repro.algorithms.multi.wct_sim import WCTBroadcastSimulator
 
 __all__ = [
-    "MultiMessageOutcome",
+    "RLNCPopulation",
     "WCTBroadcastSimulator",
     "bipartite_routing_broadcast",
     "minimal_nonadaptive_repetitions",

@@ -18,155 +18,115 @@ after k innovative receptions.
 
 The pattern is *static* (a function of round number, node identity and
 private coins only), satisfying the paper's "node cannot change its
-behavior based on whether it receives a message" requirement.
+behavior based on whether it receives a message" requirement. So the
+pattern here *is* the single-message schedule: :class:`RLNCPopulation`
+extends :class:`~repro.algorithms.population.SingleMessagePopulation`,
+whose Decay coins and wave table pick each round's broadcasters among the
+nodes that hold anything (rank > 0). Each broadcaster emits with its own
+private source, the one its Decay coin draws from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import Optional, Sequence
 
-from repro.algorithms.base import (
-    as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
-    ilog2,
-)
+from repro.algorithms.base import BroadcastOutcome, prepare_run, run_broadcast
+from repro.algorithms.population import SingleMessagePopulation, Wave
 from repro.algorithms.robust_fastbc import (
     DEFAULT_ROUND_MULTIPLIER,
     block_size,
+    robust_wave,
 )
 from repro.coding.rlnc import CodedPacket, RLNCEncoder
-from repro.core.engine import Simulator
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.protocol import NodeProtocol
-from repro.core.trace import ChannelCounters
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.timeline.recorder import NULL_TIMELINE
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
 __all__ = [
-    "MultiMessageOutcome",
-    "RLNCGossipProtocol",
+    "RLNCPopulation",
     "rlnc_decay_broadcast",
     "rlnc_dense_wave_broadcast",
     "rlnc_robust_fastbc_broadcast",
 ]
 
 
-@dataclass(frozen=True)
-class MultiMessageOutcome:
-    """Result of one k-message broadcast run."""
+class RLNCPopulation(SingleMessagePopulation):
+    """RLNC gossip on a single-message schedule, as columns.
 
-    success: bool
-    rounds: int
-    k: int
-    completed_nodes: int
-    total_nodes: int
-    counters: ChannelCounters
-
-    @property
-    def rounds_per_message(self) -> float:
-        return self.rounds / self.k
-
-
-class RLNCGossipProtocol(NodeProtocol):
-    """A node that gossips RLNC combinations on a fixed broadcast pattern.
+    The inherited informed columns track the nodes with rank > 0; a node
+    is done once it can decode all ``k`` messages, and the done count is
+    kept incrementally.
 
     Parameters
     ----------
-    pattern:
-        ``pattern(round_index, rng) -> bool``; True means "broadcast this
-        round if you hold anything". Must not depend on receptions.
-    encoder:
-        This node's RLNC state (pre-loaded with the k messages at the
-        source).
-    rng:
-        Private randomness (pattern coins and combination coefficients).
+    network, rng, wave:
+        As in :class:`~repro.algorithms.population.SingleMessagePopulation`
+        (``wave=None``: Decay in every round).
+    k, payload_length:
+        The message count and the bytes per message.
+    messages:
+        The source's ``k`` messages, ``payload_length`` bytes each.
     """
 
     def __init__(
         self,
-        pattern: Callable[[int, RandomSource], bool],
-        encoder: RLNCEncoder,
+        network: RadioNetwork,
         rng: RandomSource,
+        k: int,
+        payload_length: int,
+        messages: Sequence[bytes],
+        wave: Optional[Wave] = None,
     ) -> None:
-        self.pattern = pattern
-        self.encoder = encoder
-        self.rng = rng
-        self.active = encoder.can_transmit()
-        # flight recorder for rank progress; _run_gossip swaps in the
-        # bound recorder when a timeline capture is armed
-        self.timeline = NULL_TIMELINE
+        super().__init__(network, rng, wave=wave)
+        source = network.source
+        self.encoders = [
+            RLNCEncoder(
+                k, payload_length, messages=messages if v == source else None
+            )
+            for v in network.nodes()
+        ]
+        #: number of nodes that can decode all k messages
+        self.complete = sum(e.is_complete() for e in self.encoders)
+        #: the latest round's ``{broadcaster: packet}``, read by deliver
+        self.packets: dict[int, CodedPacket] = {}
 
-    def act(self, round_index: int) -> Optional[CodedPacket]:
-        if not self.encoder.can_transmit():
-            return None
-        if not self.pattern(round_index, self.rng):
-            return None
-        return self.encoder.emit(self.rng)
+    def broadcasters(self, round_index: int) -> list[int]:
+        nodes = super().broadcasters(round_index)
+        encoders = self.encoders
+        rngs = self.rngs
+        self.packets = {v: encoders[v].emit(rngs[v]) for v in nodes}
+        return nodes
 
-    def on_receive(self, round_index: int, packet, sender: int) -> None:
-        innovative = self.encoder.receive(packet)
-        self.active = True
+    def deliver(self, round_index: int, receivers, senders) -> None:
+        super().deliver(round_index, receivers, senders)
+        encoders = self.encoders
+        packets = self.packets
+        innovative = 0
+        for v, s in zip(receivers, senders):
+            encoder = encoders[v]
+            if encoder.receive(packets[s]):
+                innovative += 1
+                if encoder.is_complete():
+                    self.complete += 1
         if innovative and self.timeline.enabled:
-            self.timeline.note_innovative()
+            self.timeline.note_innovative(innovative)
 
-    def is_done(self) -> bool:
-        return self.encoder.is_complete()
+    def done_count(self) -> int:
+        return self.complete
 
-
-def _decay_pattern(n: int) -> Callable[[int, RandomSource], bool]:
-    phase_length = ilog2(n) + 1
-
-    def pattern(round_index: int, rng: RandomSource) -> bool:
-        i = round_index % phase_length
-        return rng.bernoulli(2.0 ** (-i))
-
-    return pattern
+    def all_done(self) -> bool:
+        return self.complete == self.n
 
 
-def _robust_wave_pattern(
-    tree: RankedBFSTree,
-    node: int,
-    block: Optional[int],
-    round_multiplier: int,
-) -> Callable[[int, RandomSource], bool]:
-    n = tree.network.n
-    phase_length = ilog2(n) + 1
-    max_rank = max(1, ilog2(n))
-    s = block if block is not None else block_size(n)
-    level = tree.level[node]
-    rank = tree.rank[node]
-    is_fast = tree.is_fast(node)
-    superround_length = round_multiplier * s
-    modulus = 6 * max_rank
-    target = (level // s - 6 * rank) % modulus
-
-    def pattern(round_index: int, rng: RandomSource) -> bool:
-        if round_index % 2 == 1:
-            i = ((round_index - 1) // 2) % phase_length
-            return rng.bernoulli(2.0 ** (-i))
-        if not is_fast:
-            return False
-        t = round_index // 2
-        if (t // superround_length) % modulus != target:
-            return False
-        return level % 3 == t % 3
-
-    return pattern
-
-
-def _dense_wave_pattern(
-    tree: RankedBFSTree, node: int
-) -> Callable[[int, RandomSource], bool]:
-    """Exploratory pattern for the paper's open problem (Section 4.2).
+def _dense_wave(tree: RankedBFSTree) -> Wave:
+    """Exploratory wave for the paper's open problem (Section 4.2).
 
     The paper leaves open whether a fault-robust algorithm can broadcast k
-    messages in ``O(D + k log n + polylog n)`` rounds. This pattern drops
+    messages in ``O(D + k log n + polylog n)`` rounds. This wave drops
     Robust FASTBC's superround gating entirely: every fast-set node fires
     on *every* even round with ``t ≡ level (mod 3)``, so coded generations
     pipeline down each stretch at full rate instead of one batch per
@@ -176,73 +136,43 @@ def _dense_wave_pattern(
     nodes of one level, so on general graphs same-level interference can
     occur — experiment X1 measures where the candidate stands.
     """
-    n = tree.network.n
-    phase_length = ilog2(n) + 1
-    level = tree.level[node]
-    is_fast = tree.is_fast(node)
-
-    def pattern(round_index: int, rng: RandomSource) -> bool:
-        if round_index % 2 == 1:
-            i = ((round_index - 1) // 2) % phase_length
-            return rng.bernoulli(2.0 ** (-i))
-        if not is_fast:
-            return False
-        t = round_index // 2
-        return level % 3 == t % 3
-
-    return pattern
+    table: list[list[int]] = [[] for _ in range(3)]
+    for v in tree.fast_nodes():
+        table[tree.level[v] % 3].append(v)
+    return lambda t: table[t % 3]
 
 
-def _run_gossip(
+def _gossip(
     network: RadioNetwork,
-    patterns: list[Callable[[int, RandomSource], bool]],
+    wave: Optional[Wave],
     k: int,
     payload_length: int,
     messages: Optional[list[bytes]],
     faults: FaultConfig,
-    rng: RandomSource,
+    source: RandomSource,
     max_rounds: int,
-    adversary=None,
-    channel=None,
-) -> MultiMessageOutcome:
+    adversary,
+    channel,
+) -> BroadcastOutcome:
     if messages is None:
-        if payload_length:
-            messages = [
-                bytes(rng.bytes_array(payload_length).tobytes())
-                for _ in range(k)
-            ]
-        else:
-            # rank-only mode: messages are empty, the coefficient vectors
-            # carry all the information the experiment measures
-            messages = [b""] * k
-    protocols = []
-    for v in network.nodes():
-        if v == network.source:
-            encoder = RLNCEncoder(k, payload_length, messages=messages)
-        else:
-            encoder = RLNCEncoder(k, payload_length)
-        protocols.append(
-            RLNCGossipProtocol(patterns[v], encoder, rng.spawn())
-        )
-    sim = Simulator(
-        network, protocols, faults, rng.spawn(), adversary=adversary, channel=channel
+        # payload_length 0 is rank-only mode: the messages are empty and
+        # the coefficient vectors carry all the experiments measure
+        messages = [
+            source.bytes_array(payload_length).tobytes() for _ in range(k)
+        ]
+    population = RLNCPopulation(
+        network, source, k, payload_length, messages, wave=wave
     )
-    timeline = sim.channel.timeline
-    if timeline.enabled:
-        # rank progress rides the same recorder the channel feeds; the
-        # open bucket absorbs innovative receptions of the round just
-        # resolved (deliveries dispatch after the channel epilogue)
-        for protocol in protocols:
-            protocol.timeline = timeline
-    executed = sim.run(max_rounds)
-    return MultiMessageOutcome(
-        success=sim.all_done(),
-        rounds=executed,
-        k=k,
-        completed_nodes=sim.done_count(),
-        total_nodes=network.n,
-        counters=sim.counters,
+    outcome = run_broadcast(
+        network,
+        population,
+        faults,
+        source.spawn(),
+        max_rounds,
+        adversary=adversary,
+        channel=channel,
     )
+    return replace(outcome, k=k)
 
 
 def rlnc_decay_broadcast(
@@ -255,25 +185,18 @@ def rlnc_decay_broadcast(
     max_rounds: Optional[int] = None,
     adversary=None,
     channel=None,
-) -> MultiMessageOutcome:
+) -> BroadcastOutcome:
     """Broadcast k messages with RLNC over the Decay pattern (Lemma 12)."""
     check_positive(k, "k")
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = int(
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds,
+        lambda log_n, depth, slowdown: int(
             40 * slowdown * (depth * log_n + k * log_n + log_n * log_n)
-        ) + 200
-    pattern = _decay_pattern(n)
-    patterns = [pattern for _ in network.nodes()]
-    return _run_gossip(
-        network, patterns, k, payload_length, messages, faults, source,
-        max_rounds, adversary=adversary, channel=channel,
+        ) + 200,
+    )
+    return _gossip(
+        network, None, k, payload_length, messages, faults, source,
+        max_rounds, adversary, channel,
     )
 
 
@@ -290,21 +213,13 @@ def rlnc_robust_fastbc_broadcast(
     round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
     adversary=None,
     channel=None,
-) -> MultiMessageOutcome:
+) -> BroadcastOutcome:
     """Broadcast k messages with RLNC over Robust FASTBC (Lemma 13)."""
     check_positive(k, "k")
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    if tree is None:
-        tree = build_gbst(network).tree
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        log_log_n = block_size(n)
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = int(
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        log_log_n = block_size(network.n)
+        return int(
             slowdown
             * (
                 40 * depth
@@ -312,13 +227,16 @@ def rlnc_robust_fastbc_broadcast(
                 + 60 * round_multiplier * log_n * log_n * log_log_n
             )
         ) + 200
-    patterns = [
-        _robust_wave_pattern(tree, v, block, round_multiplier)
-        for v in network.nodes()
-    ]
-    return _run_gossip(
-        network, patterns, k, payload_length, messages, faults, source,
-        max_rounds, adversary=adversary, channel=channel,
+
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds, budget
+    )
+    if tree is None:
+        tree = build_gbst(network).tree
+    return _gossip(
+        network, robust_wave(tree, block, round_multiplier), k,
+        payload_length, messages, faults, source, max_rounds, adversary,
+        channel,
     )
 
 
@@ -333,31 +251,23 @@ def rlnc_dense_wave_broadcast(
     tree: Optional[RankedBFSTree] = None,
     adversary=None,
     channel=None,
-) -> MultiMessageOutcome:
+) -> BroadcastOutcome:
     """Exploratory: RLNC over the dense-wave pattern (open problem).
 
     Targets the paper's open ``O(D + k log n + polylog n)`` question; see
-    :func:`_dense_wave_pattern` for the construction and its caveats, and
+    :func:`_dense_wave` for the construction and its caveats, and
     experiment X1 for measurements.
     """
     check_positive(k, "k")
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds,
+        lambda log_n, depth, slowdown: int(
+            40 * slowdown * (depth + k * log_n + log_n * log_n)
+        ) + 400,
+    )
     if tree is None:
         tree = build_gbst(network).tree
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = int(
-            40 * slowdown * (depth + k * log_n + log_n * log_n)
-        ) + 400
-    patterns = [
-        _dense_wave_pattern(tree, v) for v in network.nodes()
-    ]
-    return _run_gossip(
-        network, patterns, k, payload_length, messages, faults, source,
-        max_rounds, adversary=adversary, channel=channel,
+    return _gossip(
+        network, _dense_wave(tree), k, payload_length, messages, faults,
+        source, max_rounds, adversary, channel,
     )

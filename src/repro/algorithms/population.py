@@ -1,6 +1,8 @@
 """Column-state population for the single-message broadcast algorithms.
 
-Decay, FASTBC, Robust FASTBC and the repetition baseline share one shape.
+Decay, FASTBC, Robust FASTBC and the repetition baseline share one shape
+(and RLNC gossip runs on it too; see
+:class:`~repro.algorithms.multi.rlnc_broadcast.RLNCPopulation`).
 An uninformed node stays silent. An informed node's action in a round
 depends only on the round index, on its own coin (Decay steps) and on its
 fixed place in the wave schedule (the FASTBC family). So instead of one
@@ -8,8 +10,8 @@ protocol object per node, :class:`SingleMessagePopulation` keeps columns:
 
 * an informed flag and the informed round of every node;
 * the ascending list of informed nodes;
-* each node's own coin, the ``random.Random.random`` of the node's
-  private :class:`~repro.util.rng.RandomSource`;
+* each node's private :class:`~repro.util.rng.RandomSource` and its
+  coin, the source's ``random.Random.random``;
 * for the FASTBC family, a wave table: the fast nodes that fire in each
   even-round slot of the schedule.
 
@@ -53,7 +55,8 @@ class SingleMessagePopulation(Population):
         of a phase of ``ilog2(n) + 1`` steps fires with probability
         ``2^-i``.
     rng:
-        Node ``v``'s coin is the ``v``-th child spawned from it.
+        Node ``v``'s private source (``rngs[v]``, drawn by its coin) is
+        the ``v``-th child spawned from it.
     wave:
         ``None`` for plain Decay (every round is a Decay step). Otherwise
         the FASTBC-family schedule: odd rounds are Decay steps, even round
@@ -76,7 +79,8 @@ class SingleMessagePopulation(Population):
             raise ValueError(f"repeat must be >= 1, got {repeat}")
         n = network.n
         self.n = n
-        self.coins = [rng.spawn().raw_random for _ in network.nodes()]
+        self.rngs = [rng.spawn() for _ in network.nodes()]
+        self.coins = [node_rng.raw_random for node_rng in self.rngs]
         self.phase_length = ilog2(n) + 1
         self.wave = wave
         self.decay_interleave = decay_interleave

@@ -22,10 +22,8 @@ from typing import Optional
 
 from repro.algorithms.base import (
     BroadcastOutcome,
-    as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
     ilog2,
+    prepare_run,
     run_broadcast,
 )
 from repro.algorithms.fastbc import FastBCProtocol, fastbc_population
@@ -35,7 +33,7 @@ from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = [
     "RepeatedFastBCProtocol",
@@ -86,17 +84,13 @@ def repeated_fastbc_broadcast(
     channel=None,
 ) -> BroadcastOutcome:
     """Broadcast with the repetition baseline (factor ``repeat``)."""
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds,
+        lambda log_n, depth, slowdown:
+            int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200,
+    )
     if tree is None:
         tree = build_gbst(network).tree
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
     return run_broadcast(
         network,
         fastbc_population(network, source, tree=tree, repeat=repeat),

@@ -27,27 +27,21 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.algorithms.base import (
-    BroadcastOutcome,
-    as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
-    ilog2,
-    run_broadcast,
-)
+from repro.algorithms.base import BroadcastOutcome, prepare_run, run_broadcast
 from repro.algorithms.fastbc import FastBCProtocol, wave_max_rank
 from repro.algorithms.population import SingleMessagePopulation, Wave
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = [
     "RobustFastBCProtocol",
     "robust_fastbc_broadcast",
     "robust_fastbc_population",
     "robust_round_key",
+    "robust_wave",
     "robust_wave_key",
     "block_size",
     "make_robust_fastbc_protocols",
@@ -163,8 +157,15 @@ def make_robust_fastbc_protocols(
     ]
 
 
-def _robust_wave(tree: RankedBFSTree, block: int, round_multiplier: int) -> Wave:
-    """The block wave as a table: fast nodes keyed by wave key."""
+def robust_wave(
+    tree: RankedBFSTree, block: Optional[int], round_multiplier: int
+) -> Wave:
+    """The block wave as a table: fast nodes keyed by wave key.
+
+    ``block`` defaults to :func:`block_size` of n; bad knobs raise
+    :class:`ValueError` here, before any round runs.
+    """
+    block = _check_wave_params(tree.network.n, block, round_multiplier)
     max_rank = wave_max_rank(tree.network.n)
     table: dict[tuple[int, int], list[int]] = {}
     for v in tree.fast_nodes():
@@ -189,13 +190,12 @@ def robust_fastbc_population(
     Outcome-identical to :func:`make_robust_fastbc_protocols` with the
     same arguments.
     """
-    block = _check_wave_params(network.n, block, round_multiplier)
     if tree is None:
         tree = build_gbst(network).tree
     return SingleMessagePopulation(
         network,
         rng,
-        wave=_robust_wave(tree, block, round_multiplier),
+        wave=robust_wave(tree, block, round_multiplier),
         decay_interleave=decay_interleave,
     )
 
@@ -213,27 +213,18 @@ def robust_fastbc_broadcast(
     channel=None,
 ) -> BroadcastOutcome:
     """Broadcast one message from the source with Robust FASTBC."""
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    n = network.n
-    if max_rounds is None:
-        log_n = ilog2(n) + 1
-        log_log_n = block_size(n)
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
-        max_rounds = (
-            int(
-                slowdown
-                * (
-                    40 * depth
-                    + 60 * round_multiplier * log_n * log_log_n * log_n
-                )
-            )
-            + 200
-        )
-        if not decay_interleave:
-            max_rounds *= 4
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        log_log_n = block_size(network.n)
+        rounds = int(
+            slowdown
+            * (40 * depth + 60 * round_multiplier * log_n * log_log_n * log_n)
+        ) + 200
+        return rounds if decay_interleave else 4 * rounds
+
+    adversary, source, max_rounds = prepare_run(
+        network, faults, rng, adversary, channel, max_rounds, budget
+    )
     population = robust_fastbc_population(
         network,
         source,

@@ -11,11 +11,14 @@ Two layouts exist:
 
 * :class:`ProtocolPopulation` wraps one
   :class:`~repro.core.protocol.NodeProtocol` object per node and polls
-  them one by one. Any protocol (RLNC gossip, test doubles, the
-  single-message reference classes) runs this way.
+  them one by one. Test doubles and the single-message reference classes
+  run this way.
 * Column populations keep per-node state in flat lists and advance all
-  nodes with one call per round; see
-  :class:`repro.algorithms.population.SingleMessagePopulation`.
+  nodes with one call per round: every registered algorithm that runs on
+  the channel uses one.
+  See :class:`repro.algorithms.population.SingleMessagePopulation` and its
+  RLNC subclass
+  :class:`repro.algorithms.multi.rlnc_broadcast.RLNCPopulation`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Sequence
 
 from repro.core.packets import Packet
 from repro.core.protocol import NodeProtocol
+from repro.timeline.recorder import NULL_TIMELINE
 
 __all__ = ["Population", "ProtocolPopulation"]
 
@@ -34,6 +38,10 @@ class Population(abc.ABC):
 
     #: number of nodes
     n: int
+
+    #: flight recorder for progress the channel cannot see (RLNC rank); an
+    #: armed timeline capture binds it together with the channel's
+    timeline = NULL_TIMELINE
 
     @abc.abstractmethod
     def broadcasters(self, round_index: int) -> list[int]:

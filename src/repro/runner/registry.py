@@ -2,21 +2,25 @@
 
 Mirrors :mod:`repro.topologies.registry` and the experiment registry: the
 CLI, the examples, and :mod:`repro.runner` look algorithms up by name
-instead of importing per-algorithm entry points. Each entry wraps one of
-the library's broadcast functions behind an adapter with the signature::
+instead of importing per-algorithm entry points. Each entry runs behind
+an adapter with the signature::
 
-    adapter(network, faults, seed, max_rounds, params) -> AlgorithmResult
+    adapter(network, faults, seed, max_rounds, params, adversary, channel)
+        -> AlgorithmResult
 
 so "which protocol under which fault model" becomes data rather than
-code. The wrapped functions themselves are unchanged and remain public —
-``decay_broadcast`` and friends are now thin compatibility entry points
-over the same implementations the registry drives.
+code. The seven algorithms that run on the collision channel (Decay, the
+FASTBC family, RLNC gossip) share one adapter: their declared params are
+the keyword arguments of their public ``*_broadcast`` entry points, which
+take the scenario's faults, adversary and channel directly. The star and
+single-link schedules keep adapters that translate the scenario (the
+network sizes the star, only the fault probability reaches the link).
 
 Outcome normalization: every adapter reduces its native outcome type
-(:class:`~repro.algorithms.base.BroadcastOutcome`, ``MultiMessageOutcome``,
-``StarOutcome``, ``SingleLinkOutcome``) to an :class:`AlgorithmResult`
-with the shared fields (success, rounds, informed, total, counters) plus
-an ``extras`` dict carrying whatever is algorithm-specific — all of it
+(:class:`~repro.algorithms.base.BroadcastOutcome`, ``StarOutcome``,
+``SingleLinkOutcome``) to an :class:`AlgorithmResult` with the shared
+fields (success, rounds, informed, total, counters) plus an ``extras``
+dict carrying whatever is algorithm-specific — all of it
 JSON-serializable scalars.
 """
 
@@ -29,7 +33,6 @@ from repro.algorithms.base import BroadcastOutcome
 from repro.algorithms.decay import decay_broadcast
 from repro.algorithms.fastbc import fastbc_broadcast
 from repro.algorithms.multi.rlnc_broadcast import (
-    MultiMessageOutcome,
     rlnc_decay_broadcast,
     rlnc_dense_wave_broadcast,
     rlnc_robust_fastbc_broadcast,
@@ -121,14 +124,22 @@ class BroadcastAlgorithm:
         return {p.name: p.default for p in self.params}
 
     def validate_params(self, params: Mapping[str, Any]) -> None:
-        """Reject parameters this algorithm does not declare."""
-        unknown = [key for key in params if key not in self.declared()]
+        """Reject parameters this algorithm does not declare, and
+        non-bool values for a parameter whose default is a bool."""
+        declared = self.declared()
+        unknown = [key for key in params if key not in declared]
         if unknown:
-            known = ", ".join(sorted(self.declared())) or "(none)"
+            known = ", ".join(sorted(declared)) or "(none)"
             raise ValueError(
                 f"algorithm {self.name!r} got unknown parameters "
                 f"{sorted(unknown)}; declared: {known}"
             )
+        for key, value in params.items():
+            if isinstance(declared[key], bool) and not isinstance(value, bool):
+                raise TypeError(
+                    f"algorithm {self.name!r} parameter {key!r} must be "
+                    f"True or False, got {value!r}"
+                )
 
     def run(
         self,
@@ -208,212 +219,113 @@ def all_algorithms() -> list[BroadcastAlgorithm]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-# -- outcome normalization --------------------------------------------------
+# -- channel algorithms ------------------------------------------------------
 
 
-def _from_single(outcome: BroadcastOutcome) -> AlgorithmResult:
+def _from_outcome(outcome: BroadcastOutcome) -> AlgorithmResult:
+    extras = {}
+    if outcome.k is not None:
+        extras = {
+            "k": outcome.k,
+            "rounds_per_message": outcome.rounds_per_message,
+        }
     return AlgorithmResult(
         success=outcome.success,
         rounds=outcome.rounds,
         informed=outcome.informed,
         total=outcome.total,
         counters=outcome.counters.as_dict(),
+        extras=extras,
     )
 
 
-def _from_multi(outcome: MultiMessageOutcome) -> AlgorithmResult:
-    return AlgorithmResult(
-        success=outcome.success,
-        rounds=outcome.rounds,
-        informed=outcome.completed_nodes,
-        total=outcome.total_nodes,
-        counters=outcome.counters.as_dict(),
-        extras={
-            "k": outcome.k,
-            "rounds_per_message": outcome.rounds_per_message,
-        },
-    )
+def _register_channel_algorithm(
+    name: str, broadcast: Callable[..., BroadcastOutcome], **spec: Any
+) -> None:
+    """Register a ``*_broadcast`` entry point that runs on the channel.
+
+    The declared params are passed on as keyword arguments, so each
+    param's name is the entry point's argument name.
+    """
+
+    def adapter(
+        network, faults, seed, max_rounds, params, adversary=None, channel=None
+    ):
+        return _from_outcome(
+            broadcast(
+                network,
+                faults=faults,
+                rng=seed,
+                max_rounds=max_rounds,
+                adversary=adversary,
+                channel=channel,
+                **params,
+            )
+        )
+
+    register_algorithm(name, supports_adversary=True, **spec)(adapter)
 
 
-# -- single-message algorithms ----------------------------------------------
+_INTERLEAVE = Param(
+    "decay_interleave", True, "interleave Decay rounds with the wave"
+)
+_BLOCK_WAVE = (
+    Param("block", None, "block size override (default: Theta(log log n))"),
+    Param("round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"),
+)
+_MESSAGES = (
+    Param("k", 4, "number of messages"),
+    Param("payload_length", 0, "payload bytes per message (0: headers only)"),
+)
 
-
-@register_algorithm(
+_register_channel_algorithm(
     "decay",
+    decay_broadcast,
     kind="single",
-    supports_adversary=True,
     summary="Decay broadcast (Lemma 9): fault-robust O(log n/(1-p) (D + log n))",
 )
-def _decay(network, faults, seed, max_rounds, params, adversary=None, channel=None):
-    return _from_single(
-        decay_broadcast(
-            network, faults=faults, rng=seed, max_rounds=max_rounds,
-            adversary=adversary, channel=channel,
-        )
-    )
-
-
-@register_algorithm(
+_register_channel_algorithm(
     "fastbc",
+    fastbc_broadcast,
     kind="single",
-    supports_adversary=True,
     summary="FASTBC (Lemma 10): fast when faultless, degrades under faults",
-    params=(
-        Param("decay_interleave", True, "interleave Decay rounds with the wave"),
-    ),
+    params=(_INTERLEAVE,),
 )
-def _fastbc(network, faults, seed, max_rounds, params, adversary=None, channel=None):
-    return _from_single(
-        fastbc_broadcast(
-            network,
-            faults=faults,
-            rng=seed,
-            max_rounds=max_rounds,
-            decay_interleave=params["decay_interleave"],
-            adversary=adversary,
-            channel=channel,
-        )
-    )
-
-
-@register_algorithm(
+_register_channel_algorithm(
     "robust_fastbc",
+    robust_fastbc_broadcast,
     kind="single",
-    supports_adversary=True,
     summary="Robust FASTBC (Theorem 11): blocks absorb faults, keeps the wave",
-    params=(
-        Param("block", None, "block size override (default: Theta(log log n))"),
-        Param("round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"),
-        Param("decay_interleave", True, "interleave Decay rounds with the wave"),
-    ),
+    params=_BLOCK_WAVE + (_INTERLEAVE,),
 )
-def _robust_fastbc(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_single(
-        robust_fastbc_broadcast(
-            network,
-            faults=faults,
-            rng=seed,
-            max_rounds=max_rounds,
-            block=params["block"],
-            round_multiplier=params["round_multiplier"],
-            decay_interleave=params["decay_interleave"],
-            adversary=adversary,
-            channel=channel,
-        )
-    )
-
-
-@register_algorithm(
+_register_channel_algorithm(
     "repeated_fastbc",
+    repeated_fastbc_broadcast,
     kind="single",
-    supports_adversary=True,
     summary="Repetition baseline: FASTBC with every round repeated `repeat` times",
     params=(Param("repeat", 2, "repetition factor per wave round"),),
 )
-def _repeated_fastbc(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_single(
-        repeated_fastbc_broadcast(
-            network,
-            params["repeat"],
-            faults=faults,
-            rng=seed,
-            max_rounds=max_rounds,
-            adversary=adversary,
-            channel=channel,
-        )
-    )
-
-
-# -- multi-message (RLNC gossip) algorithms ----------------------------------
-
-
-@register_algorithm(
+_register_channel_algorithm(
     "rlnc_decay",
+    rlnc_decay_broadcast,
     kind="multi",
-    supports_adversary=True,
     summary="k-message RLNC over the Decay pattern (Lemma 12)",
-    params=(
-        Param("k", 4, "number of messages"),
-        Param("payload_length", 0, "payload bytes per message (0: headers only)"),
-    ),
+    params=_MESSAGES,
 )
-def _rlnc_decay(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_multi(
-        rlnc_decay_broadcast(
-            network,
-            params["k"],
-            faults=faults,
-            rng=seed,
-            payload_length=params["payload_length"],
-            max_rounds=max_rounds,
-            adversary=adversary,
-            channel=channel,
-        )
-    )
-
-
-@register_algorithm(
+_register_channel_algorithm(
     "rlnc_robust_fastbc",
+    rlnc_robust_fastbc_broadcast,
     kind="multi",
-    supports_adversary=True,
     summary="k-message RLNC over Robust FASTBC waves (Lemma 13)",
-    params=(
-        Param("k", 4, "number of messages"),
-        Param("payload_length", 0, "payload bytes per message (0: headers only)"),
-        Param("block", None, "block size override (default: Theta(log log n))"),
-        Param("round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"),
-    ),
+    params=_MESSAGES + _BLOCK_WAVE,
 )
-def _rlnc_robust_fastbc(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_multi(
-        rlnc_robust_fastbc_broadcast(
-            network,
-            params["k"],
-            faults=faults,
-            rng=seed,
-            payload_length=params["payload_length"],
-            max_rounds=max_rounds,
-            block=params["block"],
-            round_multiplier=params["round_multiplier"],
-            adversary=adversary,
-            channel=channel,
-        )
-    )
-
-
-@register_algorithm(
+_register_channel_algorithm(
     "rlnc_dense_wave",
+    rlnc_dense_wave_broadcast,
     kind="multi",
-    supports_adversary=True,
     summary="exploratory k-message RLNC dense-wave pattern (open problem X1)",
-    params=(
-        Param("k", 4, "number of messages"),
-        Param("payload_length", 0, "payload bytes per message (0: headers only)"),
-    ),
+    params=_MESSAGES,
 )
-def _rlnc_dense_wave(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_multi(
-        rlnc_dense_wave_broadcast(
-            network,
-            params["k"],
-            faults=faults,
-            rng=seed,
-            payload_length=params["payload_length"],
-            max_rounds=max_rounds,
-            adversary=adversary,
-            channel=channel,
-        )
-    )
 
 
 # -- star schedules (Theorem 17 coding gap) ----------------------------------

@@ -23,6 +23,7 @@ restart an interrupted thousand-scenario sweep for free.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import time
@@ -74,24 +75,12 @@ def run(scenario: Scenario) -> RunReport:
     """
     algorithm = get_algorithm(scenario.algorithm)
     network = scenario.build_network()
-    timeline_payload: "dict | None" = None
     start = time.perf_counter()
-    if scenario.timeline is not None:
-        with capture_timeline(scenario.timeline) as capture:
-            result = algorithm.run(
-                network,
-                scenario.faults,
-                scenario.seed,
-                max_rounds=scenario.max_rounds,
-                params=scenario.params,
-                adversary=scenario.adversary,
-                channel=scenario.channel_config(),
-            )
-        if capture.recorder is not None:
-            timeline_payload = Timeline.from_recorder(
-                capture.recorder
-            ).to_dict()
-    else:
+    with (
+        capture_timeline(scenario.timeline)
+        if scenario.timeline is not None
+        else contextlib.nullcontext()
+    ) as capture:
         result = algorithm.run(
             network,
             scenario.faults,
@@ -101,6 +90,9 @@ def run(scenario: Scenario) -> RunReport:
             adversary=scenario.adversary,
             channel=scenario.channel_config(),
         )
+    timeline_payload: "dict | None" = None
+    if capture is not None and capture.recorder is not None:
+        timeline_payload = Timeline.from_recorder(capture.recorder).to_dict()
     elapsed = time.perf_counter() - start
     key = scenario.cache_key() if scenario.cacheable else ""
     if _METRICS.enabled:

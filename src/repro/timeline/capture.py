@@ -7,9 +7,9 @@ algorithm's entry point). They meet here: :func:`capture_timeline`
 parks a :class:`TimelineCapture` slot in a :class:`contextvars.ContextVar`
 for the duration of ``algorithm.run``, and the first Simulator
 constructed inside the context binds a fresh recorder to its channel
-(and seeds the informed set from the population's initially active
-nodes — every broadcast protocol in this repo starts ``active`` iff it
-holds the message).
+and its population (and seeds the informed set from the population's
+initially active nodes — every broadcast protocol in this repo starts
+``active`` iff it holds the message).
 
 First-Simulator-only is deliberate: every channel-based algorithm in the
 registry drives exactly one Simulator per run, while helper channels
@@ -64,7 +64,8 @@ def capture_timeline(config: TimelineConfig) -> Iterator[TimelineCapture]:
 
 
 def maybe_bind_simulator(simulator: "Simulator") -> None:
-    """Bind a recorder to ``simulator``'s channel if capture is armed.
+    """Bind a recorder to ``simulator``'s channel and population if
+    capture is armed.
 
     Called from ``Simulator.__init__``. Only the first simulator of a
     capture context binds; later ones (none exist for registry
@@ -78,3 +79,4 @@ def maybe_bind_simulator(simulator: "Simulator") -> None:
         recorder.mark_informed(node)
     slot.recorder = recorder
     simulator.channel.timeline = recorder
+    simulator.population.timeline = recorder

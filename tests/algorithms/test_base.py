@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.algorithms.base import BroadcastOutcome, broadcast_probe
-from repro.algorithms.decay import decay_broadcast
+from repro.algorithms.base import BroadcastOutcome
 from repro.core.trace import ChannelCounters
-from repro.topologies.basic import path
 from repro.util.rng import RandomSource
 
 
@@ -27,41 +25,6 @@ class TestBroadcastOutcome:
         )
         with pytest.raises(AttributeError):
             outcome.rounds = 2  # type: ignore[misc]
-
-
-class TestBroadcastProbe:
-    def test_runs_requested_trials(self):
-        outcomes = broadcast_probe(
-            lambda seed: decay_broadcast(path(6), rng=seed),
-            trials=4,
-            rng=1,
-        )
-        assert len(outcomes) == 4
-        assert all(o.success for o in outcomes)
-
-    def test_trials_get_distinct_seeds(self):
-        seen = []
-        broadcast_probe(lambda seed: seen.append(seed) or decay_broadcast(
-            path(3), rng=seed), trials=5, rng=2)
-        assert len(set(seen)) == 5
-
-    def test_reproducible(self):
-        def collect(top_seed):
-            seeds = []
-            broadcast_probe(
-                lambda seed: seeds.append(seed) or decay_broadcast(
-                    path(3), rng=seed),
-                trials=3,
-                rng=top_seed,
-            )
-            return seeds
-
-        assert collect(7) == collect(7)
-        assert collect(7) != collect(8)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            broadcast_probe(lambda seed: None, trials=0)
 
 
 class TestIterBernoulli:

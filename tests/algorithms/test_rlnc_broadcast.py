@@ -3,12 +3,15 @@
 import pytest
 
 from repro.algorithms.multi.rlnc_broadcast import (
+    RLNCPopulation,
     rlnc_decay_broadcast,
     rlnc_robust_fastbc_broadcast,
 )
+from repro.core.engine import Simulator
 from repro.core.faults import FaultConfig
 from repro.topologies.basic import grid, path, star
 from repro.topologies.random_graphs import gnp
+from repro.util.rng import RandomSource
 
 
 class TestRLNCDecay:
@@ -34,19 +37,16 @@ class TestRLNCDecay:
 
     def test_end_to_end_payload_integrity(self):
         """With payloads on, every node must decode the exact messages."""
-        from repro.algorithms.multi.rlnc_broadcast import RLNCGossipProtocol
-        from repro.coding.rlnc import RLNCEncoder
-        from repro.core.engine import Simulator
-        from repro.util.rng import RandomSource
-
         net = star(5)
         k, length = 3, 8
         rng = RandomSource(7)
-        messages = [bytes(rng.bytes_array(length).tobytes()) for _ in range(k)]
-        outcome = rlnc_decay_broadcast(
-            net, k=k, rng=8, payload_length=length, messages=messages
-        )
-        assert outcome.success
+        messages = [rng.bytes_array(length).tobytes() for _ in range(k)]
+        population = RLNCPopulation(net, RandomSource(8), k, length, messages)
+        sim = Simulator(net, population, FaultConfig.receiver(0.2), rng=9)
+        sim.run(10_000)
+        assert sim.all_done()
+        for encoder in population.encoders:
+            assert encoder.decode_messages() == messages
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestRLNCDecay:
     def test_outcome_metrics(self):
         outcome = rlnc_decay_broadcast(path(6), k=2, rng=12)
         assert outcome.rounds_per_message == outcome.rounds / 2
-        assert outcome.completed_nodes == outcome.total_nodes == 6
+        assert outcome.informed == outcome.total == 6
 
 
 class TestRLNCRobustFastBC:

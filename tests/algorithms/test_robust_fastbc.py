@@ -1,8 +1,11 @@
 """Tests for Robust FASTBC (Theorem 11)."""
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms.fastbc import fastbc_broadcast
+from repro.algorithms.multi.rlnc_broadcast import rlnc_robust_fastbc_broadcast
 from repro.algorithms.robust_fastbc import (
     RobustFastBCProtocol,
     block_size,
@@ -49,8 +52,12 @@ class TestProtocolMechanics:
             raise AssertionError("a round ran before validation")
 
         monkeypatch.setattr(Simulator, "step", no_rounds)
-        with pytest.raises(ValueError):
-            robust_fastbc_broadcast(path(6), rng=1, **knobs)
+        for broadcast in (
+            robust_fastbc_broadcast,
+            partial(rlnc_robust_fastbc_broadcast, k=2),
+        ):
+            with pytest.raises(ValueError):
+                broadcast(path(6), rng=1, **knobs)
 
     def test_uninformed_is_silent(self):
         net = path(6)

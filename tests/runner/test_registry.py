@@ -51,6 +51,12 @@ class TestRegistryShape:
         with pytest.raises(ValueError, match="unknown parameters"):
             get_algorithm("decay").validate_params({"warp": 9})
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_bool_params_accept_only_bools(self, value):
+        with pytest.raises(TypeError, match="True or False"):
+            Scenario("fastbc", "path", {"n": 8}, {"decay_interleave": value})
+        Scenario("fastbc", "path", {"n": 8}, {"decay_interleave": False})
+
 
 class TestEveryAlgorithmRuns:
     @pytest.mark.parametrize(
